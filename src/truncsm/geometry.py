@@ -8,13 +8,12 @@ immutable after construction; distance evaluation is pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cholesky, eigh
-from scipy.optimize import brentq, linprog
+from scipy.optimize import linprog
 
 
 class GeometryError(ValueError):
@@ -364,54 +363,54 @@ def _euclid_sphere(radius, X):
     return g, grad
 
 
+# step cap and stopping tolerance of the ellipsoid Newton/bisection
+_ELLIPSOID_MAX_ITER, _ELLIPSOID_RTOL = 100, 16 * np.finfo(float).eps
+
+
 def _euclid_ellipsoid(M, radius, X):
     """Euclidean distance from interior points to {z : z^T M z = radius^2}.
 
-    Solved per point by root finding on the Lagrange condition
-    F(lam) = sum_i w_i y_i^2 / (1 + lam w_i)^2 = radius^2 in eigenbasis.
+    In the eigenbasis y = Q^T x of M (eigenvalues w, rho = w / max w), the
+    nearest point is z = y / (1 - rho + t rho) with t in [0, 1) solving
+    ||z||_M = ||c / (e + t)|| = radius, where c = sqrt(w) y / rho and
+    e = 1 / rho - 1.  1 / ||z||_M is concave in t (More & Sorensen 1983), so
+    batched Newton from the lower bound max(|c| / radius - e) rises to the
+    root; bisection replaces a step that leaves the bracket.  Hard case
+    (Eberly 2013; includes the centre): zero top-eigenspace coordinates and
+    ||z(0)||_M <= radius give t = 0, with the remaining length placed on the
+    first top eigenvector.
     """
-    M = 0.5 * (M + M.T)
-    w, Q = eigh(M)
-    Y = X @ Q
-    r2 = radius ** 2
-    g = np.empty(len(X))
-    grad = np.empty_like(X)
-    for i in range(len(X)):
-        y = Y[i]
-        active = np.abs(y) > 1e-14
-        if not np.any(active):
-            # center of the ellipsoid: nearest point along the shortest axis
-            jmax = int(np.argmax(w))
-            g[i] = radius / math.sqrt(w[jmax])
-            grad[i] = -Q[:, jmax]
-            continue
-        wa, ya = w[active], y[active]
+    w, Q = eigh(0.5 * (M + M.T))
+    rho = w / w.max()
+    e = (1.0 - rho) / rho
+    C = np.sqrt(w) / rho * (X @ Q)
 
-        def F(lam):
-            with np.errstate(divide="ignore", over="ignore"):
-                return float(np.sum(wa * ya ** 2 / (1.0 + lam * wa) ** 2) - r2)
+    def m_norm(t):
+        q = np.divide(C, e + t[:, None], out=np.zeros_like(C), where=C != 0.0)
+        return q, np.linalg.norm(q, axis=1)
 
-        # root lies in (lo, 0]; step away from the pole at lo until F is finite
-        lo = -1.0 / wa.max()
-        a = lo
-        off = abs(lo) * 1e-18
-        while True:
-            a = lo + off
-            fa = F(a)
-            if math.isfinite(fa):
-                break
-            off *= 10.0
-        if fa <= 0.0:
-            lam = a
-        else:
-            lam = brentq(F, a, 0.0, xtol=1e-14, rtol=1e-15)
-        z = y / (1.0 + lam * w)
-        zx = Q @ z
-        dvec = X[i] - zx
-        dist = np.linalg.norm(dvec)
-        g[i] = dist
-        grad[i] = dvec / dist if dist > 0 else 0.0
-    return g, grad
+    t = np.maximum(0.0, np.max(np.abs(C) / radius - e, axis=1))
+    q, N = m_norm(t)
+    hard = (t == 0.0) & (N <= radius)
+    lo, hi = t.copy(), np.ones_like(t)
+    for _ in range(_ELLIPSOID_MAX_ITER):
+        active = ~hard & (np.abs(N - radius) > _ELLIPSOID_RTOL * radius)
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tn = t + N * N * (N - radius) / (radius * np.einsum("ij,ij->i", q, q / (e + t[:, None])))
+        tn = np.where((lo <= tn) & (tn <= hi), tn, 0.5 * (lo + hi))
+        t = np.where(active, tn, t)
+        q, N = m_norm(t)
+        lo = np.where(N >= radius, t, lo)
+        hi = np.where(N < radius, t, hi)
+    Z = q / np.sqrt(w)  # q = sqrt(w) z at the final t
+    top = int(np.argmax(w))
+    rest = radius ** 2 - np.sum(w * Z[hard] ** 2, axis=1)
+    Z[hard, top] = np.sqrt(np.maximum(rest, 0.0) / w[top])
+    dvec = -(1.0 - t)[:, None] * rho * Z  # y - z, parallel to M z
+    g = np.linalg.norm(dvec, axis=1)
+    return g, (dvec / g[:, None]) @ Q.T
 
 
 def _euclid_metric_ball(ball: MetricBall, X):

@@ -116,3 +116,32 @@ def fd_gradient(f, x, h=1e-6):
         e[k] = h
         g[k] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+def ellipsoid_boundary_points(M, radius, U):
+    """Map directions U (rows, any nonzero length) onto {z : z^T M z = radius^2}."""
+    w, Q = np.linalg.eigh(M)
+    U = U / np.linalg.norm(U, axis=1, keepdims=True)
+    return radius * (U / np.sqrt(w)) @ Q.T
+
+
+def brute_ellipsoid_distance(M, radius, x, rng, n_samples=200_000, rounds=60):
+    """Min distance from x to the sampled ellipsoid boundary, locally refined.
+
+    The coarse pass takes the nearest of n_samples boundary points; each
+    refinement round perturbs the best direction within a shrinking width and
+    keeps any nearer boundary point, so the result is always the distance to
+    an actual boundary point.
+    """
+    x = np.asarray(x, dtype=float)
+    U = rng.standard_normal((n_samples, len(x)))
+    dist = np.linalg.norm(ellipsoid_boundary_points(M, radius, U) - x, axis=1)
+    u, best = U[int(dist.argmin())], float(dist.min())
+    width = 0.05
+    for _ in range(rounds):
+        U = u / np.linalg.norm(u) + width * rng.standard_normal((2000, len(x)))
+        dist = np.linalg.norm(ellipsoid_boundary_points(M, radius, U) - x, axis=1)
+        if dist.min() < best:
+            u, best = U[int(dist.argmin())], float(dist.min())
+        width *= 0.7
+    return best

@@ -32,7 +32,13 @@ from truncsm.geometry import (
 )
 
 from conftest import interior_points
-from oracles import brute_polygon_distance, brute_polytope_distance
+from oracles import (
+    brute_ellipsoid_distance,
+    brute_polygon_distance,
+    brute_polytope_distance,
+    ellipsoid_boundary_points,
+    fd_gradient,
+)
 
 EUCL = WeightSpec(metric=Euclidean())
 
@@ -276,9 +282,56 @@ def test_ellipsoid_distance_vs_brute_oracle():
         assert abs(g - ref) < 1e-3
 
 
-def test_distance_gradient_vs_fd(polygon_preset):
-    from oracles import fd_gradient
+# x^2 + 4 y^2 < 1, the rotated rho = 0.9 ellipse of acceptance 06, and a 3-D
+# ellipsoid whose top eigenvalue is repeated
+SIGMA_1_4 = np.diag([1.0, 0.25])
+SIGMA_RHO9 = np.array([[1.0, -0.9], [-0.9, 1.0]])
+SIGMA_3D = np.diag([1.0, 0.25, 0.25])
+LONG_AXIS, SHORT_AXIS = np.array([1.0, -1.0]) / np.sqrt(2), np.array([1.0, 1.0]) / np.sqrt(2)
+AXIS_POINTS = (
+    [(SIGMA_1_4, x) for x in [(0.1, 0.0), (0.5, 0.0), (0.1, 1e-9), (0.0, 0.0), (0.0, 0.3)]]
+    + [(SIGMA_RHO9, tuple(s * LONG_AXIS)) for s in (0.0, 0.05, 0.3, 0.9, 1.3)]
+    + [(SIGMA_RHO9, tuple(s * SHORT_AXIS)) for s in (0.1, 0.25)]
+    + [(SIGMA_3D, x) for x in [(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.6, 0.0, 0.0),
+                               (0.3, 0.0, 0.2), (0.2, 0.1, -0.1)]])
 
+
+@pytest.mark.parametrize("sigma, x", AXIS_POINTS)
+def test_ellipsoid_axis_points_vs_oracle(sigma, x):
+    # points on principal axes and at the centre, where the nearest-point
+    # equation has its hard case (More & Sorensen 1983)
+    ball = MetricBall(Mahalanobis(sigma), 1.0)
+    g, grad = distance(ball, EUCL, np.array(x))
+    ref = brute_ellipsoid_distance(np.linalg.inv(sigma), 1.0, x, np.random.default_rng(0))
+    assert abs(g - ref) < 1e-6
+    assert np.linalg.norm(grad) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x, expect", [((0.1, 0.0), 0.496655), ((0.5, 0.0), 0.408248),
+                                       ((0.1, 1e-9), 0.496655), ((0.0, 0.0), 0.5)])
+def test_ellipse_hard_case_values(x, expect):
+    g, _ = distance(MetricBall(Mahalanobis(SIGMA_1_4), 1.0), EUCL, np.array(x))
+    assert g == pytest.approx(expect, abs=1e-6)
+
+
+@pytest.mark.parametrize("maha_weight", [False, True])
+def test_ellipsoid_gradient_vs_fd(maha_weight):
+    ball = MetricBall(Mahalanobis(SIGMA_RHO9), 1.0)
+    spec = WeightSpec(metric=Mahalanobis(SIGMA_RHO9)) if maha_weight else EUCL
+    X = interior_points(ball, 20, seed=4)
+    table = distance_batch(ball, spec, X)
+    checked = 0
+    for x, grad in zip(X, table.dg):
+        fd = fd_gradient(lambda z: distance(ball, spec, z)[0], x)
+        if np.linalg.norm(fd - grad) > 1e-5:
+            # near the medial axis FD straddles the kink; skip those points
+            continue
+        assert np.allclose(grad, fd, atol=1e-6)
+        checked += 1
+    assert checked >= len(X) - 2
+
+
+def test_distance_gradient_vs_fd(polygon_preset):
     X = interior_points(polygon_preset, 10, seed=9)
     table = distance_batch(polygon_preset, EUCL, X)
     for x, grad in zip(X, table.dg):
@@ -344,6 +397,40 @@ def test_property_cap_consistency(seed, c):
     saturated = c * raw.g[:, 0] >= 1.0
     assert np.all(capped.dg[saturated] == 0.0)
     assert np.allclose(np.linalg.norm(capped.dg[~saturated], axis=1), c, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 3]), st.booleans())
+def test_property_ellipsoid_nearest_point(seed, d, rotated):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.2, 5.0, size=d)
+    if d == 3 and rng.random() < 0.5:
+        w[1] = w[2]  # repeated eigenvalue
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0] if rotated else np.eye(d)
+    M = (Q * w) @ Q.T
+    radius = rng.uniform(0.5, 2.0)
+    ball = MetricBall(Mahalanobis(np.linalg.inv(M)), radius)
+    # interior points; the first four snapped onto an eigen-axis, the fifth
+    # onto the plane orthogonal to the top eigenvector
+    U = rng.standard_normal((8, d))
+    U *= rng.uniform(0.0, 0.98, size=(8, 1)) / np.linalg.norm(U, axis=1, keepdims=True)
+    X = radius * (U / np.sqrt(w)) @ Q.T
+    for i in range(4):
+        q = Q[:, rng.integers(d)]
+        X[i] = (X[i] @ q) * q
+    q = Q[:, np.argmax(w)]
+    X[4] -= (X[4] @ q) * q
+    table = distance_batch(ball, EUCL, X)
+    g, dg = table.g[:, 0], table.dg
+    Z = X - g[:, None] * dg
+    assert np.allclose(np.einsum("ni,ij,nj->n", Z, M, Z), radius ** 2, rtol=0.0, atol=1e-10)
+    normal = Z @ M
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    assert np.allclose(dg, -normal, atol=1e-8)  # x - z is parallel to M z
+    assert np.allclose(np.linalg.norm(dg, axis=1), 1.0, atol=1e-12)
+    B = ellipsoid_boundary_points(M, radius, rng.standard_normal((20_000, d)))
+    sampled = np.linalg.norm(X[:, None, :] - B[None, :, :], axis=2).min(axis=1)
+    assert np.all(g <= sampled + 1e-9)
 
 
 # ---------------------------------------------------------------------------
