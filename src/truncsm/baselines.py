@@ -12,16 +12,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .estimator import EstimatorError, FitOptions, FitReport, _run_restarts, initial_points
 from .geometry import bounding_box, contains_batch
+from .models import _softmax_lse
 
 
 @dataclass
 class NormalizerEstimate:
     particles: np.ndarray        # (N, d), uniform on the bounding box
     in_domain_mask: np.ndarray   # (N,)
+    inside: np.ndarray           # particles[in_domain_mask], gathered once
     box_volume: float
     eval_count: int = 0
 
@@ -33,26 +34,26 @@ def make_normalizer(domain, n_particles: int, seed: int = 0) -> NormalizerEstima
     rng = np.random.default_rng(seed)
     U = box.lower + (box.upper - box.lower) * rng.random((n_particles, box.dim))
     mask = contains_batch(domain, U)
+    if not mask.any():
+        raise EstimatorError(f"none of the {n_particles} particles is inside the domain")
     vol = float(np.prod(box.upper - box.lower))
-    return NormalizerEstimate(particles=U, in_domain_mask=mask, box_volume=vol)
+    return NormalizerEstimate(particles=U, in_domain_mask=mask, inside=U[mask],
+                              box_volume=vol)
 
 
-def estimate_log_z(family, theta, est: NormalizerEstimate) -> float:
-    """log of box_volume * mean(mask * pbar(u)), stabilized in log space."""
+def estimate_log_z(family, theta, est: NormalizerEstimate):
+    """(log Zhat, grad log Zhat) for Zhat = box_volume * mean(mask * pbar(u)),
+    from one pass over the inside particles, stabilized in log space."""
     est.eval_count += 1
-    inside = est.particles[est.in_domain_mask]
-    if len(inside) == 0:
-        raise EstimatorError("no particles inside the domain; estimate undefined")
-    lp = family.logp_batch(theta, inside)
-    return float(np.log(est.box_volume) + logsumexp(lp) - np.log(len(est.particles)))
+    lp = family.logp_batch(theta, est.inside)
+    w, lse = _softmax_lse(lp[None, :])
+    log_z = float(np.log(est.box_volume) + lse[0] - np.log(len(est.particles)))
+    return log_z, w[0] @ family.grad_logp_batch(theta, est.inside)
 
 
 def _grad_log_z(family, theta, est: NormalizerEstimate) -> np.ndarray:
-    inside = est.particles[est.in_domain_mask]
-    lp = family.logp_batch(theta, inside)
-    w = softmax(lp)
-    G = family.grad_logp_batch(theta, inside)
-    return w @ G
+    """grad log Zhat alone; kept as a span name for perfbench/tracing.py."""
+    return estimate_log_z(family, theta, est)[1]
 
 
 def fit_rjmle(family, dataset, domain, n_particles: int,
@@ -64,19 +65,19 @@ def fit_rjmle(family, dataset, domain, n_particles: int,
     if len(X) == 0:
         raise EstimatorError("empty dataset")
     est = normalizer or make_normalizer(domain, n_particles, seed=opts.seed)
+    evals_before = est.eval_count
 
     def fg(theta):
-        data_term = family.logp_batch(theta, X).mean()
-        log_z = estimate_log_z(family, theta, est)
-        f = -(data_term - log_z)
-        g = -(family.grad_logp_batch(theta, X).mean(axis=0) - _grad_log_z(family, theta, est))
+        log_z, grad_log_z = estimate_log_z(family, theta, est)
+        f = -(family.logp_batch(theta, X).mean() - log_z)
+        g = -(family.grad_logp_batch(theta, X).mean(axis=0) - grad_log_z)
         return f, g
 
     inits = initial_points(family, X, opts)
     best, finals = _run_restarts(fg, inits, opts)
     return FitReport(theta_hat=best.x, objective_trace=best.trace,
                      status=best.status, restarts=finals,
-                     normalizer_eval_count=est.eval_count,
+                     normalizer_eval_count=est.eval_count - evals_before,
                      diagnostics={"n": len(X), "n_particles": len(est.particles)})
 
 

@@ -54,26 +54,23 @@ def _check_shapes(X, weights: WeightTable):
     return X
 
 
-def objective(family, theta, X, weights: WeightTable) -> float:
+def objective_and_grad(family, theta, X, weights: WeightTable):
+    """Objective and its theta-gradient from one score pass and one VJP."""
     X = _check_shapes(X, weights)
     dl, d2l = family.score_batch(theta, X)
-    A = dl * dl + 2.0 * d2l
-    m = (A * weights.g).sum(axis=1) + (2.0 * dl * weights.dg).sum(axis=1)
-    return float(m.sum() / len(X))
+    m = ((dl * dl + 2.0 * d2l) * weights.g).sum(axis=1) + (2.0 * dl * weights.dg).sum(axis=1)
+    # dm/d(dl) = 2 (dl g + dg) and dm/d(d2l) = 2 g, per sample and coordinate
+    grad = family.score_grad_batch(theta, X, 2.0 * (dl * weights.g + weights.dg),
+                                   2.0 * weights.g)
+    return float(m.sum() / len(X)), grad / len(X)
+
+
+def objective(family, theta, X, weights: WeightTable) -> float:
+    return objective_and_grad(family, theta, X, weights)[0]
 
 
 def objective_grad(family, theta, X, weights: WeightTable) -> np.ndarray:
-    X = _check_shapes(X, weights)
-    dl, _ = family.score_batch(theta, X)
-    grad_dl, grad_d2l = family.score_grad_batch(theta, X)
-    coef = 2.0 * (dl * weights.g + weights.dg)     # multiplies grad_dl
-    out = np.einsum("nd,nrd->r", coef, grad_dl)
-    out += np.einsum("nd,nrd->r", 2.0 * weights.g, grad_d2l)
-    return out / len(X)
-
-
-def objective_and_grad(family, theta, X, weights: WeightTable):
-    return objective(family, theta, X, weights), objective_grad(family, theta, X, weights)
+    return objective_and_grad(family, theta, X, weights)[1]
 
 
 def kmeanspp_init(X, K, rng):

@@ -1,9 +1,12 @@
 """Density model families with the analytic derivatives the estimator needs.
 
-Each family exposes, for a flattened parameter vector theta:
+Each family exposes, for a flattened parameter vector theta, values and
+parameter vector-Jacobian products (VJPs):
   - logp_batch:       unnormalized log density at each sample
+  - grad_logp_batch:  its parameter gradient at each sample
   - score_batch:      per-coordinate first and second input derivatives
-  - score_grad_batch: parameter gradients of both
+  - score_grad_batch: VJP of both with per-sample cotangents, summed over the
+                      samples in O(n K d)
 The normalizing constant over the truncation region is never evaluated.
 """
 
@@ -12,11 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 
 class ModelError(ValueError):
     pass
+
+
+def _softmax_lse(a):
+    """Row-wise softmax and log-sum-exp of an (n, K) array, shifted by the
+    row maximum so neither overflows."""
+    amax = a.max(axis=1, keepdims=True)
+    e = np.exp(a - amax)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, np.log(s[:, 0]) + amax[:, 0]
 
 
 @dataclass
@@ -27,7 +38,15 @@ class ScoreEval:
     grad_d2l: np.ndarray  # (r, d) theta-gradient of d2l
 
 
-class GaussianMean:
+class _Family:
+    def check_theta(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.r,) or not np.all(np.isfinite(theta)):
+            raise ModelError(f"theta must be a finite vector of length {self.r}")
+        return theta
+
+
+class GaussianMean(_Family):
     """Unnormalized N(theta, I_d): log p = -||x - theta||^2 / 2."""
 
     def __init__(self, d: int):
@@ -35,12 +54,6 @@ class GaussianMean:
             raise ModelError("d must be >= 1")
         self.d = d
         self.r = d
-
-    def check_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.r,) or not np.all(np.isfinite(theta)):
-            raise ModelError(f"theta must be a finite vector of length {self.r}")
-        return theta
 
     def logp_batch(self, theta, X):
         theta = self.check_theta(theta)
@@ -56,19 +69,17 @@ class GaussianMean:
         d2l = np.full_like(X, -1.0)
         return dl, d2l
 
-    def score_grad_batch(self, theta, X):
-        n = len(X)
-        eye = np.eye(self.d)
-        grad_dl = np.broadcast_to(eye, (n, self.d, self.d)).copy()
-        grad_d2l = np.zeros((n, self.r, self.d))
-        return grad_dl, grad_d2l
+    def score_grad_batch(self, theta, X, c_dl, c_d2l):
+        # d(dl_k)/d theta_m = delta_km and d2l does not depend on theta
+        self.check_theta(theta)
+        return c_dl.sum(axis=0)
 
     def sample(self, theta, n, rng):
         theta = self.check_theta(theta)
         return theta + rng.standard_normal((n, self.d))
 
 
-class IsotropicGMM:
+class IsotropicGMM(_Family):
     """Equal-weight mixture of K isotropic Gaussians with fixed variance.
 
     theta is the flattened (K, d) matrix of component means; weights 1/K and
@@ -85,69 +96,56 @@ class IsotropicGMM:
         self.sigma2 = float(sigma2)
         self.r = K * d
 
-    def check_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.r,) or not np.all(np.isfinite(theta)):
-            raise ModelError(f"theta must be a finite vector of length {self.r}")
-        return theta
-
     def _log_weights(self, theta, X):
         mu = theta.reshape(self.K, self.d)
         diff = X[:, None, :] - mu[None, :, :]             # (n, K, d)
-        a = -0.5 * (diff ** 2).sum(axis=2) / self.sigma2  # (n, K)
+        a = -0.5 * np.einsum("nkd,nkd->nk", diff, diff) / self.sigma2  # (n, K)
         return a, diff
 
     def responsibilities(self, theta, X):
         theta = self.check_theta(theta)
         a, _ = self._log_weights(theta, X)
-        return softmax(a, axis=1)
+        return _softmax_lse(a)[0]
 
     def logp_batch(self, theta, X):
         theta = self.check_theta(theta)
         a, _ = self._log_weights(theta, X)
         const = -0.5 * self.d * np.log(2.0 * np.pi * self.sigma2) - np.log(self.K)
-        return logsumexp(a, axis=1) + const
+        return _softmax_lse(a)[1] + const
 
     def grad_logp_batch(self, theta, X):
         theta = self.check_theta(theta)
         a, diff = self._log_weights(theta, X)
-        W = softmax(a, axis=1)
+        W = _softmax_lse(a)[0]
         # d logp / d mu_{j,m} = w_j (x_m - mu_{j,m}) / sigma2
         G = W[:, :, None] * diff / self.sigma2
         return G.reshape(len(X), self.r)
 
-    def score_batch(self, theta, X):
-        theta = self.check_theta(theta)
+    def _score_terms(self, theta, X):
         a, diff = self._log_weights(theta, X)
-        W = softmax(a, axis=1)
+        W = _softmax_lse(a)[0]
         S = -diff / self.sigma2                       # (n, K, d): (mu - x)/sigma2
         dl = np.einsum("nk,nkd->nd", W, S)
         sq = np.einsum("nk,nkd->nd", W, S ** 2)
-        d2l = sq - dl ** 2 - 1.0 / self.sigma2
-        return dl, d2l
+        return W, S, dl, sq
 
-    def score_grad_batch(self, theta, X):
+    def score_batch(self, theta, X):
         theta = self.check_theta(theta)
-        n = len(X)
-        a, diff = self._log_weights(theta, X)
-        W = softmax(a, axis=1)
-        S = -diff / self.sigma2
-        dl = np.einsum("nk,nkd->nd", W, S)
-        sq = np.einsum("nk,nkd->nd", W, S ** 2)
-        eye = np.eye(self.d)
+        _, _, dl, sq = self._score_terms(theta, X)
+        return dl, sq - dl ** 2 - 1.0 / self.sigma2
 
-        # d(dl_k)/d mu_{j,m} = -w_j S_{j,m} (S_{j,k} - dl_k) + w_j delta_{km}/sigma2
-        WS = W[:, :, None] * S                         # (n, K, d) over m
-        dev = S[:, :, None, :] - dl[:, None, None, :]  # (n, K, 1->m, k)
-        grad_dl = -WS[:, :, :, None] * dev + W[:, :, None, None] * eye[None, None] / self.sigma2
-
-        # d(sum_i w_i S_{i,k}^2)/d mu_{j,m}
-        dev2 = S[:, :, None, :] ** 2 - sq[:, None, None, :]
-        grad_sq = -WS[:, :, :, None] * dev2 \
-            + 2.0 * W[:, :, None, None] * S[:, :, None, :] * eye[None, None] / self.sigma2
-        grad_d2l = grad_sq - 2.0 * dl[:, None, None, :] * grad_dl
-
-        return grad_dl.reshape(n, self.r, self.d), grad_d2l.reshape(n, self.r, self.d)
+    def score_grad_batch(self, theta, X, c_dl, c_d2l):
+        # d(dl_k)/d mu_jm = -w_j S_jm (S_jk - dl_k) + w_j delta_km / sigma2 and
+        # d(sq_k)/d mu_jm = -w_j S_jm (S_jk^2 - sq_k) + 2 w_j S_jk delta_km / sigma2;
+        # with b = c_dl - 2 c_d2l dl, u_j = sum_k b_k (S_jk - dl_k) + c_d2l_k (S_jk^2 - sq_k)
+        # the contraction is w_j [-S_jm u_j + (b_m + 2 S_jm c_d2l_m) / sigma2]
+        theta = self.check_theta(theta)
+        W, S, dl, sq = self._score_terms(theta, X)
+        b = c_dl - 2.0 * c_d2l * dl
+        u = (np.einsum("nkd,nd->nk", S, b) + np.einsum("nkd,nd->nk", S ** 2, c_d2l)
+             - ((b * dl) + (c_d2l * sq)).sum(axis=1)[:, None])
+        per = -S * u[:, :, None] + (b[:, None, :] + 2.0 * S * c_d2l[:, None, :]) / self.sigma2
+        return np.einsum("nk,nkd->kd", W, per).reshape(self.r)
 
     def sample(self, theta, n, rng):
         theta = self.check_theta(theta)
@@ -163,8 +161,11 @@ def score_eval(family, theta, x) -> ScoreEval:
         raise ModelError(f"x must have dimension {family.d}")
     X = x[None, :]
     dl, d2l = family.score_batch(theta, X)
-    grad_dl, grad_d2l = family.score_grad_batch(theta, X)
-    out = ScoreEval(dl=dl[0], d2l=d2l[0], grad_dl=grad_dl[0], grad_d2l=grad_d2l[0])
+    # column k of each (r, d) Jacobian is the VJP with unit cotangent e_k
+    E = np.eye(family.d)[:, None, :]
+    grad_dl = np.column_stack([family.score_grad_batch(theta, X, e, 0 * e) for e in E])
+    grad_d2l = np.column_stack([family.score_grad_batch(theta, X, 0 * e, e) for e in E])
+    out = ScoreEval(dl=dl[0], d2l=d2l[0], grad_dl=grad_dl, grad_d2l=grad_d2l)
     for arr in (out.dl, out.d2l, out.grad_dl, out.grad_d2l):
         if not np.all(np.isfinite(arr)):
             raise ModelError("non-finite derivative; check theta/x magnitudes")

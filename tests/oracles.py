@@ -145,3 +145,31 @@ def brute_ellipsoid_distance(M, radius, x, rng, n_samples=200_000, rounds=60):
             u, best = U[int(dist.argmin())], float(dist.min())
         width *= 0.7
     return best
+
+
+def dense_score_jacobians(family, theta, X):
+    """Per-sample (n, r, d) theta-Jacobians of dl and d2l, materialized in full.
+
+    Reference for the families' O(n K d) vector-Jacobian products: contracting
+    these with per-sample cotangents must give score_grad_batch.
+    """
+    theta = np.asarray(theta, dtype=float)
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    eye = np.eye(d)
+    if not hasattr(family, "K"):  # GaussianMean: dl = theta - x, d2l = -1
+        return np.broadcast_to(eye, (n, d, d)).copy(), np.zeros((n, d, d))
+    s2 = family.sigma2
+    W = family.responsibilities(theta, X)                       # (n, K)
+    S = (theta.reshape(family.K, d)[None, :, :] - X[:, None, :]) / s2
+    dl = np.einsum("nk,nkd->nd", W, S)
+    sq = np.einsum("nk,nkd->nd", W, S ** 2)
+    # d(dl_k)/d mu_{j,m} = -w_j S_{j,m} (S_{j,k} - dl_k) + w_j delta_{km}/sigma2
+    WS = W[:, :, None] * S                                      # (n, K, m)
+    dev = S[:, :, None, :] - dl[:, None, None, :]               # (n, K, 1, k)
+    grad_dl = -WS[:, :, :, None] * dev + W[:, :, None, None] * eye / s2
+    # d(sum_i w_i S_{i,k}^2)/d mu_{j,m}, then d2l = sq - dl^2 - 1/sigma2
+    dev2 = S[:, :, None, :] ** 2 - sq[:, None, None, :]
+    grad_sq = -WS[:, :, :, None] * dev2 + 2.0 * W[:, :, None, None] * S[:, :, None, :] * eye / s2
+    grad_d2l = grad_sq - 2.0 * dl[:, None, None, :] * grad_dl
+    return grad_dl.reshape(n, family.r, d), grad_d2l.reshape(n, family.r, d)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from truncsm import baselines, data
+from oracles import fd_gradient
+from truncsm import baselines, data, presets
 from truncsm.baselines import (
     estimate_log_z,
     fit_mle_untruncated,
@@ -9,7 +10,7 @@ from truncsm.baselines import (
     make_normalizer,
 )
 from truncsm.estimator import EstimatorError, FitOptions
-from truncsm.geometry import Box, unit_square
+from truncsm.geometry import Box, Polygon, unit_square
 from truncsm.models import GaussianMean, IsotropicGMM
 
 
@@ -42,7 +43,7 @@ class _Exp1D:
 def test_log_z_uniform_exact():
     dom = Box([0.0], [1.0])
     est = make_normalizer(dom, 1000, seed=0)
-    assert estimate_log_z(_Const1D(), np.zeros(1), est) == pytest.approx(0.0, abs=1e-14)
+    assert estimate_log_z(_Const1D(), np.zeros(1), est)[0] == pytest.approx(0.0, abs=1e-14)
     assert est.eval_count == 1
 
 
@@ -52,7 +53,7 @@ def test_log_z_exponential_analytic():
     vals = []
     for seed in range(20):
         est = make_normalizer(dom, 100_000, seed=seed)
-        vals.append(np.exp(estimate_log_z(_Exp1D(), np.ones(1), est)))
+        vals.append(np.exp(estimate_log_z(_Exp1D(), np.ones(1), est)[0]))
     vals = np.array(vals)
     target = np.e - 1.0
     se = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -65,7 +66,7 @@ def test_log_z_error_scaling():
     target = np.log(np.e - 1.0)
 
     def spread(N):
-        errs = [estimate_log_z(_Exp1D(), np.ones(1), make_normalizer(dom, N, seed=s)) - target
+        errs = [estimate_log_z(_Exp1D(), np.ones(1), make_normalizer(dom, N, seed=s))[0] - target
                 for s in range(30)]
         return np.std(errs, ddof=1)
 
@@ -86,6 +87,25 @@ def test_normalizer_particle_count_validated():
         make_normalizer(Box([0.0], [1.0]), 0)
 
 
+def test_normalizer_without_inside_particles_fails_fast():
+    # a diagonal sliver covering 1e-6 of its bounding box
+    sliver = Polygon([(0.0, 0.0), (1e-6, 0.0), (1.0, 1.0), (1.0 - 1e-6, 1.0)])
+    with pytest.raises(EstimatorError, match="none of the 5 particles is inside"):
+        make_normalizer(sliver, 5, seed=0)
+
+
+@pytest.mark.parametrize("family", [GaussianMean(2), IsotropicGMM(d=2, K=4, sigma2=0.8)],
+                         ids=["gaussian", "gmm"])
+def test_log_z_gradient_matches_fd(family):
+    est = make_normalizer(presets.default_polygon(), 20_000, seed=3)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        theta = 1.5 * rng.standard_normal(family.r)
+        _, grad = estimate_log_z(family, theta, est)
+        fd = fd_gradient(lambda t: estimate_log_z(family, t, est)[0], theta, h=1e-5)
+        assert np.linalg.norm(grad - fd) <= 1e-7 * (1.0 + np.linalg.norm(fd))
+
+
 def test_rjmle_gaussian_truncated():
     fam = GaussianMean(2)
     ds = data.sample_truncated_n(fam, np.array([0.5, 0.5]), unit_square(),
@@ -93,6 +113,17 @@ def test_rjmle_gaussian_truncated():
     rep = fit_rjmle(fam, ds, unit_square(), 50_000, FitOptions(seed=0))
     assert np.linalg.norm(rep.theta_hat - [0.5, 0.5]) < 0.2
     assert rep.normalizer_eval_count > 1  # re-estimated throughout the fit
+
+
+def test_rjmle_shared_normalizer_counts_per_fit():
+    fam = GaussianMean(2)
+    ds = data.sample_truncated_n(fam, np.array([0.5, 0.5]), unit_square(),
+                                 500, seed=1)
+    est = make_normalizer(unit_square(), 10_000, seed=0)
+    a = fit_rjmle(fam, ds, unit_square(), 10_000, FitOptions(seed=0), normalizer=est)
+    b = fit_rjmle(fam, ds, unit_square(), 10_000, FitOptions(seed=1), normalizer=est)
+    assert a.normalizer_eval_count > 1 and b.normalizer_eval_count > 1
+    assert a.normalizer_eval_count + b.normalizer_eval_count == est.eval_count
 
 
 def test_rjmle_deterministic():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dense_score_jacobians
 from truncsm.models import (
     GaussianMean,
     IsotropicGMM,
@@ -129,6 +130,23 @@ def test_property_derivatives_match_fd(seed):
         theta = 2 * rng.standard_normal(6)
     x = 2 * rng.standard_normal(2)
     assert fd_check(fam, theta, x) < 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from([1, 3, 4]),
+       st.sampled_from([1, 2, 3]), st.booleans())
+def test_property_score_vjp_matches_dense_jacobians(seed, K, d, gaussian):
+    rng = np.random.default_rng(seed)
+    fam = GaussianMean(d) if gaussian else IsotropicGMM(d=d, K=K, sigma2=float(rng.uniform(0.3, 3.0)))
+    theta = 2 * rng.standard_normal(fam.r)
+    n = int(rng.integers(1, 40))
+    X = theta[:d] + 2 * rng.standard_normal((n, d))
+    c_dl, c_d2l = rng.standard_normal((2, n, d))
+    grad_dl, grad_d2l = dense_score_jacobians(fam, theta, X)
+    dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + np.einsum("nd,nrd->r", c_d2l, grad_d2l)
+    vjp = fam.score_grad_batch(theta, X, c_dl, c_d2l)
+    assert vjp.shape == (fam.r,)
+    assert np.linalg.norm(vjp - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_sampling_moments(rng):
