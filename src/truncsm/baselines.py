@@ -16,6 +16,7 @@ import numpy as np
 from .estimator import EstimatorError, FitOptions, FitReport, _run_restarts, initial_points
 from .geometry import bounding_box, contains_batch
 from .models import _softmax_lse
+from .optim import CONVERGED, MAX_ITERATIONS, MinimizeResult, minimize_qn
 
 
 @dataclass
@@ -73,12 +74,12 @@ def fit_rjmle(family, dataset, domain, n_particles: int,
         g = -(family.grad_logp_batch(theta, X).mean(axis=0) - grad_log_z)
         return f, g
 
-    inits = initial_points(family, X, opts)
-    best, finals = _run_restarts(fg, inits, opts)
-    return FitReport(theta_hat=best.x, objective_trace=best.trace,
-                     status=best.status, restarts=finals,
-                     normalizer_eval_count=est.eval_count - evals_before,
-                     diagnostics={"n": len(X), "n_particles": len(est.particles)})
+    rep = _run_restarts(
+        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
+        initial_points(family, X, opts),
+        diagnostics={"n": len(X), "n_particles": len(est.particles)})
+    rep.normalizer_eval_count = est.eval_count - evals_before
+    return rep
 
 
 def fit_mle_untruncated(family, dataset, opts: Optional[FitOptions] = None) -> FitReport:
@@ -91,33 +92,27 @@ def fit_mle_untruncated(family, dataset, opts: Optional[FitOptions] = None) -> F
     X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
     if len(X) == 0:
         raise EstimatorError("empty dataset")
-    K = getattr(family, "K", 1)
-    if K == 1:
-        theta = X.mean(axis=0)
-        if hasattr(family, "K"):
-            theta = theta.copy()
-        ll = float(family.logp_batch(theta, X).mean())
-        return FitReport(theta_hat=theta, objective_trace=[(0, -ll, 0.0)],
-                         status="converged", restarts=[-ll],
-                         diagnostics={"n": len(X), "method": "closed_form"})
-
-    inits = initial_points(family, X, opts)
-    best_theta, best_ll, finals, best_iters = None, -np.inf, [], 0
-    for theta0 in inits:
-        theta, ll, iters = _em_fixed_variance(family, X, theta0, tol=1e-8,
-                                              max_iters=opts.max_iters)
-        finals.append(-ll)
-        if ll > best_ll:
-            best_theta, best_ll, best_iters = theta, ll, iters
-    return FitReport(theta_hat=best_theta, objective_trace=[(best_iters, -best_ll, 0.0)],
-                     status="converged", restarts=finals,
-                     diagnostics={"n": len(X), "method": "em"})
+    if getattr(family, "K", 1) == 1:
+        def sample_mean(mean):  # closed form: nothing to iterate
+            ll = float(family.logp_batch(mean, X).mean())
+            return MinimizeResult(x=mean, fun=-ll, status=CONVERGED,
+                                  trace=[(0, -ll, 0.0)], n_evals=1)
+        return _run_restarts(sample_mean, [X.mean(axis=0)],
+                             diagnostics={"n": len(X), "method": "closed_form"})
+    return _run_restarts(
+        lambda theta0: _em_fixed_variance(family, X, theta0, tol=1e-8,
+                                          max_iters=opts.max_iters),
+        initial_points(family, X, opts), diagnostics={"n": len(X), "method": "em"})
 
 
-def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int):
+def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int) -> MinimizeResult:
+    """EM on the centers; the result's trace is the one entry
+    (iterations, -mean log-likelihood, 0)."""
     theta = np.asarray(theta0, dtype=float).copy()
     ll = float(family.logp_batch(theta, X).mean())
-    for it in range(1, max_iters + 1):
+    it, status = 0, MAX_ITERATIONS
+    while status != CONVERGED and it < max_iters:
+        it += 1
         R = family.responsibilities(theta, X)      # (n, K)
         Nk = R.sum(axis=0)
         mu = (R.T @ X) / np.where(Nk > 0, Nk, 1.0)[:, None]
@@ -127,6 +122,7 @@ def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int):
         theta = mu.reshape(-1)
         ll_new = float(family.logp_batch(theta, X).mean())
         if abs(ll_new - ll) <= tol:
-            return theta, ll_new, it
+            status = CONVERGED
         ll = ll_new
-    return theta, ll, max_iters
+    return MinimizeResult(x=theta, fun=-ll, status=status, trace=[(it, -ll, 0.0)],
+                          n_evals=it + 1)

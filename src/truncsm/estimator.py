@@ -9,6 +9,7 @@ precomputed once per dataset; they do not depend on the parameter.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +40,7 @@ class FitReport:
     theta_hat: np.ndarray
     objective_trace: list            # (iteration, value, grad norm)
     status: str
-    restarts: list = field(default_factory=list)  # per-restart final objectives
+    restarts: list = field(default_factory=list)  # optim.MinimizeResult per restart
     weight_eval_count: Optional[int] = None
     normalizer_eval_count: Optional[int] = None
     diagnostics: dict = field(default_factory=dict)
@@ -86,6 +87,9 @@ def kmeanspp_init(X, K, rng):
 
 def initial_points(family, X, opts: FitOptions):
     """Per-restart initial parameter vectors."""
+    if opts.init_style not in ("mean_jitter", "kmeans++"):
+        raise EstimatorError(f"unknown init_style {opts.init_style!r}; "
+                             "use 'mean_jitter' or 'kmeans++'")
     rng = np.random.default_rng(opts.seed)
     n_comp = getattr(family, "K", 1)
     inits = []
@@ -105,18 +109,26 @@ def initial_points(family, X, opts: FitOptions):
     return inits
 
 
-def _run_restarts(objective_fg, inits, opts: FitOptions):
-    best = None
-    finals = []
-    for theta0 in inits:
-        res = minimize_qn(objective_fg, theta0, tol=opts.tol, max_iters=opts.max_iters)
-        finals.append(res.fun)
-        if res.status != optim.LINE_SEARCH_FAILURE or len(res.trace) > 1:
-            if best is None or res.fun < best.fun:
-                best = res
-    if best is None:
+def _run_restarts(solve, inits, **report) -> FitReport:
+    """Solve from every initial point and report the best restart.
+
+    solve(theta0) returns an optim.MinimizeResult.  A restart whose first
+    line search failed (a one-entry trace) is not usable; among the others the
+    lowest objective wins, the first one on ties.  `report` holds further
+    FitReport fields; the loop's wall time goes to diagnostics["optimize_s"].
+    """
+    t0 = time.perf_counter()
+    results = [solve(theta0) for theta0 in inits]
+    optimize_s = time.perf_counter() - t0
+    usable = [r for r in results
+              if r.status != optim.LINE_SEARCH_FAILURE or len(r.trace) > 1]
+    if not usable:
         raise EstimatorError("all restarts failed in the line search")
-    return best, finals
+    best = min(usable, key=lambda r: r.fun)
+    rep = FitReport(theta_hat=best.x, objective_trace=best.trace, status=best.status,
+                    restarts=results, **report)
+    rep.diagnostics.update(n_obj_evals=best.n_evals, optimize_s=optimize_s)
+    return rep
 
 
 def fit(family, dataset, domain, weight_spec: WeightSpec,
@@ -131,12 +143,10 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
     def fg(theta):
         return objective_and_grad(family, theta, X, weights)
 
-    inits = initial_points(family, X, opts)
-    best, finals = _run_restarts(fg, inits, opts)
-    return FitReport(theta_hat=best.x, objective_trace=best.trace,
-                     status=best.status, restarts=finals,
-                     weight_eval_count=weights.eval_count,
-                     diagnostics={"n": len(X), "n_obj_evals": best.n_evals})
+    return _run_restarts(
+        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
+        initial_points(family, X, opts),
+        weight_eval_count=weights.eval_count, diagnostics={"n": len(X)})
 
 
 def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:

@@ -103,6 +103,16 @@ def _centers_str(theta, d) -> str:
     return "|".join(":".join(f"{v:.10g}" for v in row) for row in c)
 
 
+def _row(cfg, seed, n, method, weight, params, error="", rep=None) -> dict:
+    """One result row; a fit report fills its iterations and final objective."""
+    row = {"experiment": cfg.experiment, "seed": seed, "n": n, "method": method,
+           "weight": weight, "params": params, "error": error}
+    if rep is not None:
+        row.update(iterations=len(rep.objective_trace) - 1,
+                   objective=rep.objective_trace[-1][1])
+    return row
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -130,13 +140,9 @@ def run_gmm_polygon(cfg: ExperimentConfig):
                 rep = estimator.fit(family, ds, domain, spec, opts)
                 wt = time.perf_counter() - t0
                 err, _, _ = estimator.match_centers(rep.theta_hat, truth, 2)
-                rows.append({"experiment": cfg.experiment, "seed": seed,
-                             "n": ds.n, "method": method,
-                             "weight": _weight_name(spec),
-                             "params": _params_str(centers=_centers_str(rep.theta_hat, 2)),
-                             "error": err,
-                             "iterations": len(rep.objective_trace) - 1,
-                             "objective": rep.objective_trace[-1][1]})
+                rows.append(_row(cfg, seed, ds.n, method, _weight_name(spec),
+                                 _params_str(centers=_centers_str(rep.theta_hat, 2)),
+                                 err, rep))
                 timings.append((f"{seed}:{method}", wt))
             elif method == "rjmle":
                 ropts = estimator.FitOptions(restarts=min(restarts, 3), seed=seed,
@@ -146,14 +152,10 @@ def run_gmm_polygon(cfg: ExperimentConfig):
                     rep = baselines.fit_rjmle(family, ds, domain, N, ropts)
                     wt = time.perf_counter() - t0
                     err, _, _ = estimator.match_centers(rep.theta_hat, truth, 2)
-                    rows.append({"experiment": cfg.experiment, "seed": seed,
-                                 "n": ds.n, "method": method,
-                                 "weight": "none",
-                                 "params": _params_str(particles=N,
-                                                       centers=_centers_str(rep.theta_hat, 2)),
-                                 "error": err,
-                                 "iterations": len(rep.objective_trace) - 1,
-                                 "objective": rep.objective_trace[-1][1]})
+                    rows.append(_row(cfg, seed, ds.n, method, "none",
+                                     _params_str(particles=N,
+                                                 centers=_centers_str(rep.theta_hat, 2)),
+                                     err, rep))
                     timings.append((f"{seed}:{method}:{N}", wt))
             else:
                 raise ExperimentError(f"unknown method {method!r} for gmm-polygon")
@@ -176,6 +178,9 @@ def run_maha_vs_euclid(cfg: ExperimentConfig):
         specs = {"euclidean": geometry.WeightSpec(metric=geometry.Euclidean()),
                  "mahalanobis": geometry.WeightSpec(metric=geometry.Mahalanobis(Sigma))}
         if cfg.metric:
+            if cfg.metric not in specs:
+                raise ExperimentError(f"unknown metric {cfg.metric!r} for maha-vs-euclid; "
+                                      f"use one of {', '.join(specs)}")
             specs = {cfg.metric: specs[cfg.metric]}
         for n in n_grid:
             for seed in cfg.seeds:
@@ -186,12 +191,8 @@ def run_maha_vs_euclid(cfg: ExperimentConfig):
                                         estimator.FitOptions(seed=seed))
                     wt = time.perf_counter() - t0
                     err = float(np.linalg.norm(rep.theta_hat - theta_true))
-                    rows.append({"experiment": cfg.experiment, "seed": seed,
-                                 "n": n, "method": "truncsm", "weight": name,
-                                 "params": _params_str(rho=rho),
-                                 "error": err,
-                                 "iterations": len(rep.objective_trace) - 1,
-                                 "objective": rep.objective_trace[-1][1]})
+                    rows.append(_row(cfg, seed, n, "truncsm", name,
+                                     _params_str(rho=rho), err, rep))
                     timings.append((f"{rho}:{n}:{seed}:{name}", wt))
     return write_results(cfg, rows, timings)
 
@@ -222,14 +223,10 @@ def run_capped_scaling(cfg: ExperimentConfig):
                                         estimator.FitOptions(seed=seed))
                     wt = time.perf_counter() - t0
                     err = float(np.linalg.norm(rep.theta_hat - theta_true))
-                    rows.append({"experiment": cfg.experiment, "seed": seed,
-                                 "n": ds.n, "method": "truncsm",
-                                 "weight": _weight_name(spec),
-                                 "params": _params_str(template=template, b=b, c=c,
-                                                       capped_fraction=frac),
-                                 "error": err,
-                                 "iterations": len(rep.objective_trace) - 1,
-                                 "objective": rep.objective_trace[-1][1]})
+                    rows.append(_row(cfg, seed, ds.n, "truncsm", _weight_name(spec),
+                                     _params_str(template=template, b=b, c=c,
+                                                 capped_fraction=frac),
+                                     err, rep))
                     timings.append((f"{template}:{b}:{seed}:{c}", wt))
     return write_results(cfg, rows, timings)
 
@@ -256,12 +253,8 @@ def run_l1_vs_l2(cfg: ExperimentConfig):
                                     estimator.FitOptions(seed=seed))
                 wt = time.perf_counter() - t0
                 err = float(np.linalg.norm(rep.theta_hat - theta_true))
-                rows.append({"experiment": cfg.experiment, "seed": seed,
-                             "n": n, "method": "truncsm", "weight": name,
-                             "params": _params_str(dim=d),
-                             "error": err,
-                             "iterations": len(rep.objective_trace) - 1,
-                             "objective": rep.objective_trace[-1][1]})
+                rows.append(_row(cfg, seed, n, "truncsm", name, _params_str(dim=d),
+                                 err, rep))
                 timings.append((f"{d}:{seed}:{name}", wt))
     return write_results(cfg, rows, timings)
 
@@ -290,56 +283,39 @@ def _chicago_real(cfg: ExperimentConfig):
     box = geometry.bounding_box(domain)
     diag = float(np.linalg.norm(box.upper - box.lower))
     weight = geometry.WeightSpec(metric=geometry.Euclidean())
-
-    rows, timings, center_lines = [], [], ["method,restart,component,x,y"]
-    X = ds.points
-    wt_table = geometry.distance_batch(domain, weight, X)
+    opts = estimator.FitOptions(restarts=restarts, seed=seed)
     normalizer = None
     if "rjmle" in methods:
         normalizer = baselines.make_normalizer(domain, cfg.particles[0], seed=seed)
 
+    rows, timings, center_lines = [], [], ["method,restart,component,x,y"]
     for method in methods:
-        t0 = time.perf_counter()
-        centers = []
-        rng = np.random.default_rng(seed)
-        mu_q = X.mean(axis=0)
-        for r_i in range(restarts):
-            theta0 = np.tile(mu_q, family.K) + 0.06 * rng.standard_normal(family.r)
-            if method == "truncsm":
-                res = estimator.minimize_qn(
-                    lambda th: estimator.objective_and_grad(family, th, X, wt_table),
-                    theta0)
-                theta = res.x
-            elif method == "rjmle":
-                opts = estimator.FitOptions(restarts=1, seed=seed, init=theta0)
-                rep = baselines.fit_rjmle(family, ds, domain, cfg.particles[0],
-                                          opts, normalizer=normalizer)
-                theta = rep.theta_hat
-            elif method == "mle":
-                theta, _, _ = baselines._em_fixed_variance(family, X, theta0,
-                                                           tol=1e-8, max_iters=500)
-            else:
-                raise ExperimentError(f"unknown method {method!r} for chicago")
-            centers.append(theta)
+        if method == "truncsm":
+            rep = estimator.fit(family, ds, domain, weight, opts)
+        elif method == "rjmle":
+            rep = baselines.fit_rjmle(family, ds, domain, cfg.particles[0], opts,
+                                      normalizer=normalizer)
+        elif method == "mle":
+            rep = baselines.fit_mle_untruncated(family, ds, opts)
+        else:
+            raise ExperimentError(f"unknown method {method!r} for chicago")
+        # every restart's centers, labels aligned to the first restart's
+        C = [res.x for res in rep.restarts]
+        aligned = []
+        for r_i, theta in enumerate(C):
             for k, c in enumerate(theta.reshape(family.K, 2)):
                 center_lines.append(f"{method},{r_i},{k},{c[0]:.10g},{c[1]:.10g}")
-        wt = time.perf_counter() - t0
-        C = np.array(centers)
-        # align component labels to the first restart before aggregating
-        ref = C[0]
-        aligned = []
-        for th in C:
-            _, _, perm = estimator.match_centers(th, ref, 2)
-            aligned.append(th.reshape(family.K, 2)[perm].reshape(-1))
+            _, _, perm = estimator.match_centers(theta, C[0], 2)
+            aligned.append(theta.reshape(family.K, 2)[perm].reshape(-1))
         A = np.array(aligned)
         sd = float(A.std(axis=0).max())
-        rows.append({"experiment": cfg.experiment, "seed": seed, "n": ds.n,
-                     "method": method, "weight": _weight_name(weight) if method == "truncsm" else "none",
-                     "params": _params_str(restarts=restarts, center_sd=sd,
-                                           bbox_diag=diag,
-                                           mean_centers=_centers_str(A.mean(axis=0), 2)),
-                     "error": "", "iterations": restarts, "objective": ""})
-        timings.append((method, wt))
+        rows.append({**_row(cfg, seed, ds.n, method,
+                            _weight_name(weight) if method == "truncsm" else "none",
+                            _params_str(restarts=restarts, center_sd=sd, bbox_diag=diag,
+                                        mean_centers=_centers_str(A.mean(axis=0), 2))),
+                     "iterations": restarts})
+        # the restarts alone: the weight table and the normalizer are one-off costs
+        timings.append((method, rep.diagnostics["optimize_s"]))
     out = write_results(cfg, rows, timings)
     centers_path = Path(cfg.out).with_suffix(".centers.csv")
     centers_path.write_text("\n".join(center_lines) + "\n")
@@ -371,14 +347,11 @@ def _chicago_synthetic(cfg: ExperimentConfig):
                 raise ExperimentError(f"unknown method {method!r}")
             wt = time.perf_counter() - t0
             err = float(np.linalg.norm(rep.theta_hat - theta_true))
-            rows.append({"experiment": cfg.experiment, "seed": seed, "n": n,
-                         "method": method,
-                         "weight": _weight_name(spec) if method in ("truncsm", "sm-constant") else "none",
-                         "params": _params_str(center_x=float(rep.theta_hat[0]),
-                                               center_y=float(rep.theta_hat[1])),
-                         "error": err,
-                         "iterations": len(rep.objective_trace) - 1,
-                         "objective": rep.objective_trace[-1][1]})
+            rows.append(_row(cfg, seed, n, method,
+                             _weight_name(spec) if method in ("truncsm", "sm-constant") else "none",
+                             _params_str(center_x=float(rep.theta_hat[0]),
+                                         center_y=float(rep.theta_hat[1])),
+                             err, rep))
             timings.append((f"{seed}:{method}", wt))
     return write_results(cfg, rows, timings)
 
@@ -401,10 +374,8 @@ def run_identity_check(cfg: ExperimentConfig):
         lhs, rhs, z = estimator.ibp_identity_check(family, theta, ds.points,
                                                    true_score, table)
         wt = time.perf_counter() - t0
-        rows.append({"experiment": cfg.experiment, "seed": seed, "n": n,
-                     "method": "truncsm", "weight": _weight_name(weight),
-                     "params": _params_str(lhs=lhs, rhs=rhs, zscore=z),
-                     "error": "", "iterations": "", "objective": ""})
+        rows.append(_row(cfg, seed, n, "truncsm", _weight_name(weight),
+                         _params_str(lhs=lhs, rhs=rhs, zscore=z)))
         timings.append((str(seed), wt))
     return write_results(cfg, rows, timings)
 

@@ -9,9 +9,10 @@ from truncsm.baselines import (
     fit_rjmle,
     make_normalizer,
 )
-from truncsm.estimator import EstimatorError, FitOptions
-from truncsm.geometry import Box, Polygon, unit_square
+from truncsm.estimator import EstimatorError, FitOptions, fit
+from truncsm.geometry import Box, Euclidean, Polygon, WeightSpec, unit_square
 from truncsm.models import GaussianMean, IsotropicGMM
+from truncsm.optim import LINE_SEARCH_FAILURE, MinimizeResult
 
 
 class _Const1D:
@@ -168,10 +169,44 @@ def test_em_loglik_monotone():
     theta = np.array([0.5, 0.5, -0.5, -0.5])
     ll_prev = float(fam.logp_batch(theta, X).mean())
     for _ in range(25):
-        theta, ll, _ = baselines._em_fixed_variance(fam, X, theta, tol=0.0,
-                                                    max_iters=1)
+        res = baselines._em_fixed_variance(fam, X, theta, tol=0.0, max_iters=1)
+        theta, ll = res.x, -res.fun
         assert ll >= ll_prev - 1e-12
         ll_prev = ll
+
+
+def test_em_stopped_at_max_iters_is_not_converged():
+    rng = np.random.default_rng(4)
+    fam = IsotropicGMM(d=2, K=2, sigma2=1.0)
+    X = np.vstack([rng.standard_normal((200, 2)) + [4, 0],
+                   rng.standard_normal((200, 2)) - [4, 0]])
+    assert fit_mle_untruncated(fam, X, FitOptions(max_iters=1)).status == "max_iterations"
+    assert fit_mle_untruncated(fam, X).status == "converged"
+
+
+@pytest.mark.parametrize("method", ["truncsm", "rjmle", "mle"])
+def test_report_keeps_every_restart_and_the_best_one(method):
+    # three tight clusters, two components: the restarts end in different optima
+    truth = np.array([0.2, 0.2, 0.8, 0.2, 0.5, 0.8])
+    ds = data.sample_truncated_n(IsotropicGMM(d=2, K=3, sigma2=0.01), truth,
+                                 unit_square(), 300, seed=2)
+    fam = IsotropicGMM(d=2, K=2, sigma2=0.01)
+    opts = FitOptions(restarts=4, seed=3, init_style="kmeans++")
+    if method == "truncsm":
+        rep = fit(fam, ds, unit_square(), WeightSpec(metric=Euclidean()), opts)
+    elif method == "rjmle":
+        rep = fit_rjmle(fam, ds, unit_square(), 5_000, opts)
+    else:
+        rep = fit_mle_untruncated(fam, ds, opts)
+    assert len(rep.restarts) == opts.restarts
+    assert all(isinstance(r, MinimizeResult) for r in rep.restarts)
+    usable = [r for r in rep.restarts
+              if r.status != LINE_SEARCH_FAILURE or len(r.trace) > 1]
+    best = min(usable, key=lambda r: r.fun)
+    assert rep.restarts[0].fun > best.fun
+    assert np.array_equal(rep.theta_hat, best.x)
+    assert rep.objective_trace == best.trace
+    assert rep.diagnostics["optimize_s"] >= 0.0
 
 
 def test_em_recovers_separated_centers():

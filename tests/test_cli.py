@@ -23,6 +23,15 @@ def test_unknown_experiment_exits_nonzero(capsys):
         main(["--experiment", "nope", "--out", "x.csv"])
 
 
+def test_unknown_metric_names_the_accepted_ones(tmp_path, capsys):
+    rc = main(["--experiment", "maha-vs-euclid", "--metric", "l1", "--seeds", "0",
+               "--n", "50", "--out", str(tmp_path / "o.csv")])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "unknown metric 'l1'" in err
+    assert "euclidean" in err and "mahalanobis" in err
+
+
 def test_missing_required_inputs_error(tmp_path, capsys):
     rc = main(["--experiment", "chicago", "--points-file", "nope.csv",
                "--out", str(tmp_path / "o.csv")])
@@ -42,9 +51,15 @@ def test_identity_check_run(tmp_path):
         assert float(params["zscore"]) >= 0.0
 
 
-def test_fixed_seed_byte_identical_output(tmp_path):
+@pytest.mark.parametrize("path", ["synthetic", "real"])
+def test_fixed_seed_byte_identical_output(tmp_path, path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["--experiment", "chicago", "--seeds", "0,1,2", "--n", "400"]
+    if path == "real":
+        csv, poly = city_files(tmp_path)
+        args = ["--experiment", "chicago", "--seeds", "0", "--points-file", str(csv),
+                "--domain-file", str(poly), "--sigma", "0.1", "--restarts", "5",
+                "--particles", "5000"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     ba = a.read_bytes()
@@ -52,6 +67,9 @@ def test_fixed_seed_byte_identical_output(tmp_path):
     # outputs identical except for the echoed out path in the config line
     assert ba.replace(b"a.csv", b"o.csv") == bb.replace(b"b.csv", b"o.csv")
     assert a.with_suffix(".csv.timing.csv").exists()
+    if path == "real":
+        assert a.with_suffix(".centers.csv").read_bytes() == \
+            b.with_suffix(".centers.csv").read_bytes()
 
 
 def test_gmm_polygon_smoke(tmp_path):
@@ -156,9 +174,10 @@ def test_chicago_synthetic_west_of_mle(tmp_path):
     assert west >= 4
 
 
-def test_chicago_real_data_path(tmp_path):
-    # synthetic "city": polygon boundary in lon/lat-like units, two clearly
-    # separated clusters, sigma per the half-city-width rule
+def city_files(tmp_path):
+    """Points CSV and boundary file of a synthetic "city": polygon boundary in
+    lon/lat-like units, two clearly separated clusters, sigma per the
+    half-city-width rule."""
     rng = np.random.default_rng(0)
     mid = np.array([-87.66, 41.82])
     u = np.array([0.47, 0.88])
@@ -172,6 +191,11 @@ def test_chicago_real_data_path(tmp_path):
     lat0 = np.deg2rad(pts[:, 1].mean())
     lo_x, hi_x = -87.9 * np.cos(lat0), -87.4 * np.cos(lat0)
     poly.write_text(f"{lo_x},41.6\n{hi_x},41.6\n{hi_x},42.0\n{lo_x},42.0\n")
+    return csv, poly
+
+
+def test_chicago_real_data_path(tmp_path):
+    csv, poly = city_files(tmp_path)
     out = tmp_path / "chi.csv"
     rc = main(["--experiment", "chicago", "--seeds", "0",
                "--points-file", str(csv), "--domain-file", str(poly),

@@ -136,6 +136,13 @@ def test_fit_deterministic(rng):
     assert a.objective_trace == b.objective_trace
 
 
+def test_unknown_init_style_is_an_error(rng):
+    X = rng.uniform(0.1, 0.9, size=(50, 2))
+    with pytest.raises(EstimatorError, match=r"mean_jitter.*kmeans\+\+"):
+        fit(IsotropicGMM(d=2, K=2, sigma2=1.0), X, unit_square(), EUCL,
+            FitOptions(init_style="kmeans"))
+
+
 def test_fit_empty_dataset():
     with pytest.raises(EstimatorError):
         fit(GaussianMean(2), np.empty((0, 2)), unit_square(), EUCL)
