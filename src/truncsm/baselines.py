@@ -83,26 +83,17 @@ def fit_rjmle(family, dataset, domain, n_particles: int,
 
 
 def fit_mle_untruncated(family, dataset, opts: Optional[FitOptions] = None) -> FitReport:
-    """MLE that ignores the truncation.
-
-    Sample mean for the single Gaussian; EM with fixed variances and equal
-    weights for the mixture.
-    """
+    """MLE that ignores the truncation: EM with fixed variances and equal
+    weights (for K = 1 every responsibility is 1, so one step gives the
+    sample mean)."""
     opts = opts or FitOptions()
     X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
     if len(X) == 0:
         raise EstimatorError("empty dataset")
-    if getattr(family, "K", 1) == 1:
-        def sample_mean(mean):  # closed form: nothing to iterate
-            ll = float(family.logp_batch(mean, X).mean())
-            return MinimizeResult(x=mean, fun=-ll, status=CONVERGED,
-                                  trace=[(0, -ll, 0.0)], n_evals=1)
-        return _run_restarts(sample_mean, [X.mean(axis=0)],
-                             diagnostics={"n": len(X), "method": "closed_form"})
     return _run_restarts(
         lambda theta0: _em_fixed_variance(family, X, theta0, tol=1e-8,
                                           max_iters=opts.max_iters),
-        initial_points(family, X, opts), diagnostics={"n": len(X), "method": "em"})
+        initial_points(family, X, opts), diagnostics={"n": len(X)})
 
 
 def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int) -> MinimizeResult:

@@ -10,7 +10,7 @@ precomputed once per dataset; they do not depend on the parameter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -91,7 +91,6 @@ def initial_points(family, X, opts: FitOptions):
         raise EstimatorError(f"unknown init_style {opts.init_style!r}; "
                              "use 'mean_jitter' or 'kmeans++'")
     rng = np.random.default_rng(opts.seed)
-    n_comp = getattr(family, "K", 1)
     inits = []
     for _ in range(opts.restarts):
         if opts.init is not None:
@@ -99,13 +98,13 @@ def initial_points(family, X, opts: FitOptions):
             if opts.restarts > 1:
                 base = base + opts.jitter_sd * rng.standard_normal(family.r)
             inits.append(base)
-        elif opts.init_style == "kmeans++" and n_comp > 1:
-            inits.append(kmeanspp_init(X, n_comp, rng))
+        elif opts.init_style == "kmeans++" and family.K > 1:
+            inits.append(kmeanspp_init(X, family.K, rng))
         else:
             # dataset mean plus a small Gaussian jitter, per component
             mu = X.mean(axis=0)
             eps = opts.jitter_sd * rng.standard_normal(family.r)
-            inits.append(np.tile(mu, family.r // family.d) + eps)
+            inits.append(np.tile(mu, family.K) + eps)
     return inits
 
 
@@ -133,12 +132,21 @@ def _run_restarts(solve, inits, **report) -> FitReport:
 
 def fit(family, dataset, domain, weight_spec: WeightSpec,
         opts: Optional[FitOptions] = None) -> FitReport:
-    """Precompute weights once, then minimize the empirical objective."""
+    """Precompute weights once, then minimize the empirical objective.
+
+    For K = 1 the score is affine in the mean, the objective is quadratic and
+    its minimizer is, per coordinate, (sum g x - sigma2 sum dg) / sum g; the
+    fit starts there and the optimizer confirms it in one evaluation.
+    """
     opts = opts or FitOptions()
     X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
     if len(X) == 0:
         raise EstimatorError("empty dataset")
     weights = distance_batch(domain, weight_spec, X)
+    if family.K == 1:
+        theta = ((weights.g * X).sum(axis=0) - family.sigma2 * weights.dg.sum(axis=0)) \
+            / weights.g.sum(axis=0)
+        opts = replace(opts, init=theta, restarts=1)
 
     def fg(theta):
         return objective_and_grad(family, theta, X, weights)

@@ -30,7 +30,7 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: list(range(10)))
     n: list = field(default_factory=list)           # sample-size grid
     methods: list = field(default_factory=list)
-    metric: Optional[str] = None                    # euclidean | mahalanobis | l1
+    metric: Optional[str] = None                    # maha-vs-euclid: euclidean | mahalanobis
     cap: list = field(default_factory=list)         # cap grid (c values)
     particles: list = field(default_factory=lambda: [500_000])
     restarts: Optional[int] = None
@@ -113,6 +113,16 @@ def _row(cfg, seed, n, method, weight, params, error="", rep=None) -> dict:
     return row
 
 
+def _methods(cfg, default, accepted, experiment) -> list:
+    """The requested methods, every name checked before any fit runs."""
+    methods = cfg.methods or default
+    for method in methods:
+        if method not in accepted:
+            raise ExperimentError(f"unknown method {method!r} for {experiment}; "
+                                  f"use one of {', '.join(accepted)}")
+    return methods
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -123,7 +133,8 @@ def run_gmm_polygon(cfg: ExperimentConfig):
     family = models.IsotropicGMM(d=2, K=4, sigma2=1.0)
     truth = presets.GMM_TRUE_CENTERS.reshape(-1)
     n_generated = cfg.n[0] if cfg.n else 10_000
-    methods = cfg.methods or ["truncsm", "rjmle"]
+    methods = _methods(cfg, ["truncsm", "rjmle"], ["truncsm", "sm-constant", "rjmle"],
+                       "gmm-polygon")
     restarts = cfg.restarts or 10
     weight = geometry.WeightSpec(metric=geometry.Euclidean())
 
@@ -144,7 +155,7 @@ def run_gmm_polygon(cfg: ExperimentConfig):
                                  _params_str(centers=_centers_str(rep.theta_hat, 2)),
                                  err, rep))
                 timings.append((f"{seed}:{method}", wt))
-            elif method == "rjmle":
+            else:  # rjmle
                 ropts = estimator.FitOptions(restarts=min(restarts, 3), seed=seed,
                                              init_style="kmeans++")
                 for N in cfg.particles:
@@ -157,8 +168,6 @@ def run_gmm_polygon(cfg: ExperimentConfig):
                                                  centers=_centers_str(rep.theta_hat, 2)),
                                      err, rep))
                     timings.append((f"{seed}:{method}:{N}", wt))
-            else:
-                raise ExperimentError(f"unknown method {method!r} for gmm-polygon")
     return write_results(cfg, rows, timings)
 
 
@@ -278,7 +287,8 @@ def _chicago_real(cfg: ExperimentConfig):
     ds = data.clip_to_domain(ds, domain)
     family = models.IsotropicGMM(d=2, K=2, sigma2=sigma ** 2)
     restarts = cfg.restarts or 500
-    methods = cfg.methods or ["truncsm", "rjmle", "mle"]
+    methods = _methods(cfg, ["truncsm", "rjmle", "mle"], ["truncsm", "rjmle", "mle"],
+                       "chicago")
     seed = cfg.seeds[0] if cfg.seeds else 0
     box = geometry.bounding_box(domain)
     diag = float(np.linalg.norm(box.upper - box.lower))
@@ -295,10 +305,8 @@ def _chicago_real(cfg: ExperimentConfig):
         elif method == "rjmle":
             rep = baselines.fit_rjmle(family, ds, domain, cfg.particles[0], opts,
                                       normalizer=normalizer)
-        elif method == "mle":
+        else:  # mle
             rep = baselines.fit_mle_untruncated(family, ds, opts)
-        else:
-            raise ExperimentError(f"unknown method {method!r} for chicago")
         # every restart's centers, labels aligned to the first restart's
         C = [res.x for res in rep.restarts]
         aligned = []
@@ -329,7 +337,8 @@ def _chicago_synthetic(cfg: ExperimentConfig):
     family = models.GaussianMean(2)
     n = cfg.n[0] if cfg.n else 1000
     weight = geometry.WeightSpec(metric=geometry.Euclidean())
-    methods = cfg.methods or ["truncsm", "mle"]
+    methods = _methods(cfg, ["truncsm", "mle"], ["truncsm", "sm-constant", "mle"],
+                       "chicago")
 
     rows, timings = [], []
     for seed in cfg.seeds:
@@ -341,10 +350,8 @@ def _chicago_synthetic(cfg: ExperimentConfig):
                     else geometry.WeightSpec(constant=True)
                 rep = estimator.fit(family, ds, domain, spec,
                                     estimator.FitOptions(seed=seed))
-            elif method == "mle":
+            else:  # mle
                 rep = baselines.fit_mle_untruncated(family, ds)
-            else:
-                raise ExperimentError(f"unknown method {method!r}")
             wt = time.perf_counter() - t0
             err = float(np.linalg.norm(rep.theta_hat - theta_true))
             rows.append(_row(cfg, seed, n, method,
@@ -393,4 +400,7 @@ DRIVERS = {
 def run(cfg: ExperimentConfig):
     if cfg.experiment not in DRIVERS:
         raise ExperimentError(f"unknown experiment {cfg.experiment!r}")
+    if cfg.metric and cfg.experiment != "maha-vs-euclid":
+        raise ExperimentError(f"--metric is read only by maha-vs-euclid, "
+                              f"not by {cfg.experiment}")
     return DRIVERS[cfg.experiment](cfg)

@@ -312,8 +312,9 @@ def _polygon_contains_batch(V, X):
 # Euclidean boundary distance per domain (points assumed inside)
 
 
-def _euclid_polytope(A, b, X):
-    norms = np.linalg.norm(A, axis=1)
+def _polytope_distance(A, b, norms, X):
+    """Distance to the nearest facet of {Ax + b < 0}; norms[j] is the dual norm
+    of facet normal A[j] (l2 for Euclidean, l-infinity for the l1 metric)."""
     resid = -(X @ A.T + b) / norms  # positive inside
     jstar = np.argmin(resid, axis=1)
     g = resid[np.arange(len(X)), jstar]
@@ -434,7 +435,7 @@ def _euclid_metric_ball(ball: MetricBall, X):
 
 def _euclid_distance_batch(domain, X):
     if isinstance(domain, ConvexPolytope):
-        return _euclid_polytope(domain.A, domain.b, X)
+        return _polytope_distance(domain.A, domain.b, np.linalg.norm(domain.A, axis=1), X)
     if isinstance(domain, Box):
         return _euclid_box(domain.lower, domain.upper, X)
     if isinstance(domain, Polygon):
@@ -503,12 +504,7 @@ def _l1_distance_batch(domain, X):
     if not isinstance(domain, ConvexPolytope):
         raise UnsupportedPairingError(
             "L1 metric distance is implemented for Box and ConvexPolytope only")
-    norms = np.abs(domain.A).max(axis=1)  # dual norm of l1 is l-infinity
-    resid = -(X @ domain.A.T + domain.b) / norms
-    jstar = np.argmin(resid, axis=1)
-    g = resid[np.arange(len(X)), jstar]
-    grad = -domain.A[jstar] / norms[jstar, None]
-    return g, grad
+    return _polytope_distance(domain.A, domain.b, np.abs(domain.A).max(axis=1), X)
 
 
 def _raw_distance_batch(domain, metric, X):

@@ -1,8 +1,12 @@
-"""Density model families with the analytic derivatives the estimator needs.
+"""The model family, with the analytic derivatives the estimator needs.
 
-Each family exposes, for a flattened parameter vector theta, values and
-parameter vector-Jacobian products (VJPs):
-  - logp_batch:       unnormalized log density at each sample
+One family, `IsotropicGMM`: an equal-weight mixture of K isotropic Gaussians
+with a fixed shared variance.  `GaussianMean(d)` is its K = 1, sigma2 = 1
+member, the single Gaussian with unknown mean; its score is affine in theta,
+so the score-matching objective is quadratic and `estimator.fit` starts it at
+the closed-form minimizer.  For a flattened parameter vector theta the family
+exposes values and parameter vector-Jacobian products (VJPs):
+  - logp_batch:       log density (untruncated normalizer) at each sample
   - grad_logp_batch:  its parameter gradient at each sample
   - score_batch:      per-coordinate first and second input derivatives
   - score_grad_batch: VJP of both with per-sample cotangents, summed over the
@@ -38,48 +42,7 @@ class ScoreEval:
     grad_d2l: np.ndarray  # (r, d) theta-gradient of d2l
 
 
-class _Family:
-    def check_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.r,) or not np.all(np.isfinite(theta)):
-            raise ModelError(f"theta must be a finite vector of length {self.r}")
-        return theta
-
-
-class GaussianMean(_Family):
-    """Unnormalized N(theta, I_d): log p = -||x - theta||^2 / 2."""
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ModelError("d must be >= 1")
-        self.d = d
-        self.r = d
-
-    def logp_batch(self, theta, X):
-        theta = self.check_theta(theta)
-        return -0.5 * ((X - theta) ** 2).sum(axis=1)
-
-    def grad_logp_batch(self, theta, X):
-        theta = self.check_theta(theta)
-        return X - theta
-
-    def score_batch(self, theta, X):
-        theta = self.check_theta(theta)
-        dl = np.broadcast_to(theta, X.shape) - X
-        d2l = np.full_like(X, -1.0)
-        return dl, d2l
-
-    def score_grad_batch(self, theta, X, c_dl, c_d2l):
-        # d(dl_k)/d theta_m = delta_km and d2l does not depend on theta
-        self.check_theta(theta)
-        return c_dl.sum(axis=0)
-
-    def sample(self, theta, n, rng):
-        theta = self.check_theta(theta)
-        return theta + rng.standard_normal((n, self.d))
-
-
-class IsotropicGMM(_Family):
+class IsotropicGMM:
     """Equal-weight mixture of K isotropic Gaussians with fixed variance.
 
     theta is the flattened (K, d) matrix of component means; weights 1/K and
@@ -95,6 +58,12 @@ class IsotropicGMM(_Family):
         self.K = K
         self.sigma2 = float(sigma2)
         self.r = K * d
+
+    def check_theta(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.r,) or not np.all(np.isfinite(theta)):
+            raise ModelError(f"theta must be a finite vector of length {self.r}")
+        return theta
 
     def _log_weights(self, theta, X):
         mu = theta.reshape(self.K, self.d)
@@ -150,8 +119,18 @@ class IsotropicGMM(_Family):
     def sample(self, theta, n, rng):
         theta = self.check_theta(theta)
         mu = theta.reshape(self.K, self.d)
-        comps = rng.integers(0, self.K, size=n)
-        return mu[comps] + np.sqrt(self.sigma2) * rng.standard_normal((n, self.d))
+        comps = rng.integers(0, self.K, size=n)  # draws nothing when K = 1
+        X = rng.standard_normal((n, self.d))  # scaled and shifted in place
+        X *= np.sqrt(self.sigma2)
+        X += mu[comps]
+        return X
+
+
+class GaussianMean(IsotropicGMM):
+    """N(theta, I_d) with unknown mean: the one-component, unit-variance mixture."""
+
+    def __init__(self, d: int):
+        super().__init__(d, 1, 1.0)
 
 
 def score_eval(family, theta, x) -> ScoreEval:

@@ -157,8 +157,6 @@ def dense_score_jacobians(family, theta, X):
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     eye = np.eye(d)
-    if not hasattr(family, "K"):  # GaussianMean: dl = theta - x, d2l = -1
-        return np.broadcast_to(eye, (n, d, d)).copy(), np.zeros((n, d, d))
     s2 = family.sigma2
     W = family.responsibilities(theta, X)                       # (n, K)
     S = (theta.reshape(family.K, d)[None, :, :] - X[:, None, :]) / s2

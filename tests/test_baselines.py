@@ -161,6 +161,16 @@ def test_mle_gmm_k1_degeneracy():
     assert np.allclose(rep.theta_hat, X.mean(axis=0), atol=1e-6)
 
 
+def test_mle_k1_is_the_sample_mean():
+    # one component: every responsibility is 1, so EM's first step is the mean
+    rng = np.random.default_rng(6)
+    X = 2.0 * rng.standard_normal((700, 3)) + [1.0, -2.0, 0.5]
+    for fam in (GaussianMean(3), IsotropicGMM(d=3, K=1, sigma2=0.5)):
+        rep = fit_mle_untruncated(fam, X)
+        assert np.max(np.abs(rep.theta_hat - X.mean(axis=0))) <= 1e-12
+        assert rep.status == "converged"
+
+
 def test_em_loglik_monotone():
     rng = np.random.default_rng(4)
     fam = IsotropicGMM(d=2, K=2, sigma2=1.0)

@@ -211,3 +211,34 @@ def test_chicago_real_data_path(tmp_path):
     centers = (tmp_path / "chi.centers.csv").read_text().splitlines()
     assert centers[0] == "method,restart,component,x,y"
     assert len(centers) == 1 + 2 * 2 * 20  # methods * components * restarts
+
+
+def test_metric_is_rejected_where_no_driver_reads_it(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    rc = main(["--experiment", "l1-vs-l2", "--metric", "l1", "--seeds", "0",
+               "--n", "20", "--d-grid", "2", "--out", str(out)])
+    assert rc != 0
+    assert "read only by maha-vs-euclid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["gmm-polygon", "synthetic", "real"])
+def test_unknown_method_fails_before_any_fit(tmp_path, monkeypatch, capsys, path):
+    from truncsm import baselines, estimator
+
+    calls = []
+    for owner, name in ((estimator, "fit"), (baselines, "fit_rjmle"),
+                        (baselines, "fit_mle_untruncated")):
+        monkeypatch.setattr(owner, name, lambda *a, _n=name, **k: calls.append(_n))
+    args = ["--experiment", "chicago", "--seeds", "0", "--n", "200"]
+    if path == "gmm-polygon":
+        args = ["--experiment", "gmm-polygon", "--seeds", "0", "--n", "500"]
+    elif path == "real":
+        csv, poly = city_files(tmp_path)
+        args += ["--points-file", str(csv), "--domain-file", str(poly), "--sigma", "0.1"]
+    out = tmp_path / "o.csv"
+    rc = main(args + ["--method", "truncsm,foo", "--out", str(out)])
+    assert rc == 1
+    assert "unknown method 'foo'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -14,7 +14,14 @@ from truncsm.estimator import (
     objective_and_grad,
     objective_grad,
 )
-from truncsm.geometry import Euclidean, WeightSpec, WeightTable, unit_square
+from truncsm.geometry import (
+    Euclidean,
+    Mahalanobis,
+    MetricBall,
+    WeightSpec,
+    WeightTable,
+    unit_square,
+)
 from truncsm.models import GaussianMean, IsotropicGMM
 from truncsm.optim import minimize_qn
 
@@ -117,6 +124,37 @@ def test_fit_gaussian_consistency():
     assert np.linalg.norm(rep.theta_hat - [0.5, 0.5]) < 0.15
     assert rep.weight_eval_count == 1
     assert rep.status == "converged"
+
+
+ELLIPSE_SIGMA = np.array([[1.0, -0.9], [-0.9, 1.0]])
+K1_CASES = {
+    "euclidean": (unit_square(), EUCL),
+    "capped": (unit_square(), WeightSpec(metric=Euclidean(), cap=10.0)),
+    "constant": (unit_square(), WeightSpec(constant=True)),
+    "mahalanobis-ellipse": (MetricBall(Mahalanobis(ELLIPSE_SIGMA), 1.0),
+                            WeightSpec(metric=Mahalanobis(ELLIPSE_SIGMA))),
+}
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 0.7])
+@pytest.mark.parametrize("case", sorted(K1_CASES))
+def test_k1_fit_is_the_closed_form_minimizer(case, sigma2):
+    from truncsm import data
+
+    domain, spec = K1_CASES[case]
+    fam = IsotropicGMM(d=2, K=1, sigma2=sigma2)
+    ds = data.sample_truncated_n(fam, np.array([0.5, 0.5]), domain, 2000, seed=0)
+    rep = fit(fam, ds, domain, spec, FitOptions(seed=0, restarts=3))
+    w = geometry.distance_batch(domain, spec, ds.points)
+    ref = minimize_qn(lambda t: objective_and_grad(fam, t, ds.points, w),
+                      ds.points.mean(axis=0), tol=1e-12)
+    assert ref.status == "converged"
+    assert np.max(np.abs(rep.theta_hat - ref.x)) <= 1e-10
+    # the start point is the minimizer: no iteration, one evaluation
+    assert rep.status == "converged"
+    assert len(rep.restarts) == 1
+    assert len(rep.objective_trace) == 1 and rep.diagnostics["n_obj_evals"] == 1
+    assert rep.objective_trace[0][2] <= 1e-12
 
 
 def test_fit_constant_weight_huge_box(rng):

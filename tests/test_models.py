@@ -29,6 +29,26 @@ def test_theta_validation():
         fam.logp_batch(np.zeros(3), np.zeros((1, 2)))
 
 
+def test_gaussian_mean_is_the_one_component_mixture():
+    fam = GaussianMean(3)
+    assert isinstance(fam, IsotropicGMM)
+    assert (fam.d, fam.K, fam.sigma2, fam.r) == (3, 1, 1.0, 3)
+    # the sampler draws exactly theta + N(0, I): fixed-seed datasets are unchanged
+    theta = np.array([0.5, -1.0, 2.0])
+    X = fam.sample(theta, 1000, np.random.default_rng(7))
+    assert np.array_equal(X, theta + np.random.default_rng(7).standard_normal((1000, 3)))
+
+
+def test_gmm_sample_stream():
+    # component labels first, then the unit normals, scaled by sigma
+    gmm = IsotropicGMM(d=2, K=3, sigma2=0.3)
+    mu = np.array([[0.0, 1.0], [2.0, -1.0], [-3.0, 0.5]])
+    rng = np.random.default_rng(11)
+    comps = rng.integers(0, 3, size=500)
+    want = mu[comps] + np.sqrt(0.3) * rng.standard_normal((500, 2))
+    assert np.array_equal(gmm.sample(mu.reshape(-1), 500, np.random.default_rng(11)), want)
+
+
 def test_gaussian_closed_form():
     fam = GaussianMean(1)
     ev = score_eval(fam, np.array([0.0]), np.array([0.5]))
