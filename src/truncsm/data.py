@@ -178,18 +178,20 @@ def _uniform_l1_ball(d: int, n: int, rng) -> np.ndarray:
 
 
 def _dist2_to_hemiball(mean: np.ndarray) -> float:
-    """Squared Euclidean distance from a point to the closed hemi-l1-ball."""
-    from scipy.optimize import minimize
+    """Squared Euclidean distance from a point to the closed hemi-l1-ball.
 
-    d = mean.size
-    if np.abs(mean).sum() <= 1.0 and mean[-1] >= 0.0:
-        return 0.0
-    x0 = np.zeros(d)
-    x0[-1] = 0.5
-    cons = [{"type": "ineq", "fun": lambda z: 1.0 - np.abs(z).sum()},
-            {"type": "ineq", "fun": lambda z: z[-1]}]
-    res = minimize(lambda z: ((z - mean) ** 2).sum(), x0, constraints=cons,
-                   method="SLSQP", options={"maxiter": 500, "ftol": 1e-12})
-    # slack keeps every acceptance probability strictly below one even if the
-    # constrained solve returns a marginally loose minimum
-    return float(res.fun) - 1e-9
+    Clipping m_d at 0 and projecting onto the l1 ball gives the nearest point
+    of the hemi-ball (m - m' lies in the normal cone of {z_d >= 0}); the
+    projection is the sort-based soft threshold of Duchi et al. (ICML 2008).
+    """
+    clipped = mean.copy()
+    clipped[-1] = max(clipped[-1], 0.0)
+    a = np.abs(clipped)
+    if a.sum() <= 1.0:
+        proj = clipped
+    else:
+        u = np.sort(a)[::-1]
+        css = np.cumsum(u) - 1.0
+        rho = np.nonzero(u * np.arange(1, a.size + 1) > css)[0][-1]
+        proj = np.sign(clipped) * np.maximum(a - css[rho] / (rho + 1), 0.0)
+    return float(((mean - proj) ** 2).sum())

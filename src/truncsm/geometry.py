@@ -4,6 +4,16 @@ A domain V is an open bounded region of R^d.  The weight used by the
 estimator is g0(x) = min_{z on the boundary} d(x, z) for a chosen metric,
 optionally capped at 1 via g_c = min(1, c * g0).  Every domain object is
 immutable after construction; distance evaluation is pure.
+
+One dispatcher, `_raw_distance_batch`, serves every domain x metric pairing:
+- a `Box` is a `ConvexPolytope`, and a facet {a.z + b = 0} of any polytope is at
+  distance |a.x + b| / ||a||_* in the metric's dual norm: l2 for Euclidean,
+  l-infinity for l1, and ||L^-T a|| for Mahalanobis;
+- a Mahalanobis distance ||L (x - z)|| is Euclidean in y = L x, so a polygon's
+  vertices or a ball's quadratic form are mapped through L (no domain object is
+  rebuilt) and the gradient is pulled back by L;
+- a disjoint union takes the distance within the component holding the point.
+l1 distances to polygons, balls and unions raise `UnsupportedPairingError`.
 """
 
 from __future__ import annotations
@@ -55,10 +65,7 @@ class Mahalanobis:
         if not np.allclose(sigma, sigma.T):
             raise GeometryError("sigma must be symmetric")
         try:
-            # upper-triangular factor of sigma^{-1}; also validates SPD
-            inv = np.linalg.inv(sigma)
-            inv = 0.5 * (inv + inv.T)
-            self._L = cholesky(inv, lower=False)
+            self._L = _inverse_factor(sigma)
         except np.linalg.LinAlgError as exc:
             raise GeometryError("sigma must be positive definite") from exc
         self.sigma = sigma
@@ -68,6 +75,12 @@ class Mahalanobis:
     def transform(self):
         """Matrix L with L^T L = sigma^{-1}; d(x,y) = ||L(x-y)||."""
         return self._L
+
+
+def _inverse_factor(sigma):
+    """Upper-triangular L with L^T L = sigma^{-1}; LinAlgError unless SPD."""
+    inv = np.linalg.inv(sigma)
+    return cholesky(0.5 * (inv + inv.T), lower=False)
 
 
 @dataclass(frozen=True)
@@ -87,11 +100,13 @@ class Halfspace:
     b: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a, b = np.asarray(self.a, dtype=float), self.b
+        if a.ndim != 1 or not (np.all(np.isfinite(a)) and np.isfinite(b)):
+            raise GeometryError(f"halfspace needs a finite normal vector and offset: {a}, {b}")
         if np.linalg.norm(a) == 0.0:
             raise GeometryError("halfspace normal must be nonzero")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", float(b))
 
 
 class ConvexPolytope:
@@ -100,6 +115,9 @@ class ConvexPolytope:
     def __init__(self, halfspaces: Sequence[Halfspace]):
         if not halfspaces:
             raise GeometryError("polytope needs at least one halfspace")
+        dims = sorted({h.a.size for h in halfspaces})
+        if len(dims) != 1:
+            raise DimensionMismatchError(f"halfspace normals mix dimensions {dims}")
         self.halfspaces = tuple(halfspaces)
         self.A = np.array([h.a for h in halfspaces], dtype=float)
         self.b = np.array([h.b for h in halfspaces], dtype=float)
@@ -117,6 +135,8 @@ class Polygon:
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
             raise GeometryError("polygon needs >= 3 two-dimensional vertices")
+        if not np.all(np.isfinite(V)):
+            raise GeometryError("polygon vertices must be finite")
         area2 = _signed_area2(V)
         if area2 == 0.0:
             raise GeometryError("degenerate polygon")
@@ -128,8 +148,12 @@ class Polygon:
         self.dim = 2
 
 
-class Box:
-    """Open axis-aligned box (lower, upper) componentwise."""
+class Box(ConvexPolytope):
+    """Open axis-aligned box (lower, upper) componentwise.
+
+    Its facets are every lower face, then every upper face, so a tie in the
+    nearest facet goes to a lower face, and then to the lowest axis.
+    """
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
@@ -138,11 +162,12 @@ class Box:
             raise GeometryError("lower/upper must be vectors of equal length")
         if not np.all(lower < upper):
             raise GeometryError("box needs lower < upper componentwise")
-        self.lower = lower
-        self.upper = upper
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
-        self.dim = lower.size
+        eye = np.eye(lower.size)
+        super().__init__([Halfspace(a, b) for a, b in
+                          zip(np.vstack([-eye, eye]), np.concatenate([lower, -upper]))])
+        self.lower, self.upper = lower, upper
+        lower.setflags(write=False)
+        upper.setflags(write=False)
 
 
 class MetricBall:
@@ -150,15 +175,23 @@ class MetricBall:
     with coordinate positivity constraints x_k > 0."""
 
     def __init__(self, metric, radius, positive_axes: Sequence[int] = (), dim: Optional[int] = None):
-        if radius <= 0:
+        if not radius > 0:
             raise GeometryError("radius must be positive")
+        if not isinstance(metric, (Euclidean, L1, Mahalanobis)):
+            raise GeometryError(f"unknown metric {type(metric).__name__}")
         if isinstance(metric, Mahalanobis):
-            dim = metric.sigma.shape[0]
+            if dim not in (None, len(metric.sigma)):
+                raise DimensionMismatchError(f"dim={dim} disagrees with sigma {metric.sigma.shape}")
+            dim = len(metric.sigma)
         elif dim is None:
             raise GeometryError("dim required for Euclidean/L1 balls")
+        if dim < 1:
+            raise GeometryError(f"ball dimension must be >= 1, got {dim}")
+        self.positive_axes = tuple(int(k) for k in positive_axes)
+        if not all(0 <= k < dim for k in self.positive_axes):
+            raise GeometryError(f"positive_axes {self.positive_axes} out of range for dim {dim}")
         self.metric = metric
         self.radius = float(radius)
-        self.positive_axes = tuple(int(k) for k in positive_axes)
         self.dim = int(dim)
 
 
@@ -220,11 +253,7 @@ def _segments_intersect(p1, p2, q1, q2):
         v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         return int(np.sign(v))
 
-    o1 = orient(p1, p2, q1)
-    o2 = orient(p1, p2, q2)
-    o3 = orient(q1, q2, p1)
-    o4 = orient(q1, q2, p2)
-    return o1 != o2 and o3 != o4
+    return orient(p1, p2, q1) != orient(p1, p2, q2) and orient(q1, q2, p1) != orient(q1, q2, p2)
 
 
 def _check_simple(V):
@@ -246,8 +275,7 @@ def _check_simple(V):
 def contains(domain, x) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape != (domain.dim,):
-        raise DimensionMismatchError(
-            f"point of dim {x.shape} vs domain dim {domain.dim}")
+        raise DimensionMismatchError(f"point of dim {x.shape} vs domain dim {domain.dim}")
     return bool(contains_batch(domain, x[None, :])[0])
 
 
@@ -255,10 +283,10 @@ def contains_batch(domain, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != domain.dim:
         raise DimensionMismatchError("points must be (n, d) matching domain")
+    if isinstance(domain, Box):  # no (n, 2d) product for the commonest domain
+        return np.all((X > domain.lower) & (X < domain.upper), axis=1)
     if isinstance(domain, ConvexPolytope):
         return np.all(X @ domain.A.T + domain.b < 0.0, axis=1)
-    if isinstance(domain, Box):
-        return np.all((X > domain.lower) & (X < domain.upper), axis=1)
     if isinstance(domain, Polygon):
         return _polygon_contains_batch(domain.vertices, X)
     if isinstance(domain, MetricBall):
@@ -280,9 +308,7 @@ def _metric_norm(metric, X):
         return np.linalg.norm(X, axis=1)
     if isinstance(metric, Mahalanobis):
         return np.linalg.norm(X @ metric.transform.T, axis=1)
-    if isinstance(metric, L1):
-        return np.abs(X).sum(axis=1)
-    raise GeometryError(f"unknown metric {type(metric).__name__}")
+    return np.abs(X).sum(axis=1)
 
 
 def _polygon_contains_batch(V, X):
@@ -309,12 +335,12 @@ def _polygon_contains_batch(V, X):
 
 
 # ---------------------------------------------------------------------------
-# Euclidean boundary distance per domain (points assumed inside)
+# distance kernels (points assumed inside; all but the polytope one Euclidean)
 
 
 def _polytope_distance(A, b, norms, X):
-    """Distance to the nearest facet of {Ax + b < 0}; norms[j] is the dual norm
-    of facet normal A[j] (l2 for Euclidean, l-infinity for the l1 metric)."""
+    """Distance to the nearest facet of {Ax + b < 0}; norms[j] is the metric's
+    dual norm of facet normal A[j]."""
     resid = -(X @ A.T + b) / norms  # positive inside
     jstar = np.argmin(resid, axis=1)
     g = resid[np.arange(len(X)), jstar]
@@ -339,18 +365,6 @@ def _euclid_polygon(V, X):
     n = dvec[idx, tstar]
     with np.errstate(invalid="ignore", divide="ignore"):
         grad = np.where(g[:, None] > 0.0, n / np.where(g[:, None] > 0, g[:, None], 1.0), 0.0)
-    return g, grad
-
-
-def _euclid_box(lower, upper, X):
-    d = lower.size
-    cand = np.concatenate([X - lower, upper - X], axis=1)  # (n, 2d)
-    jstar = np.argmin(cand, axis=1)
-    g = cand[np.arange(len(X)), jstar]
-    grad = np.zeros_like(X)
-    lower_side = jstar < d
-    axis = np.where(lower_side, jstar, jstar - d)
-    grad[np.arange(len(X)), axis] = np.where(lower_side, 1.0, -1.0)
     return g, grad
 
 
@@ -414,110 +428,66 @@ def _euclid_ellipsoid(M, radius, X):
     return g, (dvec / g[:, None]) @ Q.T
 
 
-def _euclid_metric_ball(ball: MetricBall, X):
-    if isinstance(ball.metric, Euclidean):
-        g, grad = _euclid_sphere(ball.radius, X)
-    elif isinstance(ball.metric, Mahalanobis):
-        L = ball.metric.transform
-        g, grad = _euclid_ellipsoid(L.T @ L, ball.radius, X)
-    else:
+# ---------------------------------------------------------------------------
+# metric dispatch
+
+
+def _raw_distance_batch(domain, metric, X):
+    """Boundary distance and its gradient in `metric` at interior points X."""
+    if not isinstance(metric, (Euclidean, L1, Mahalanobis)):
+        raise GeometryError(f"unknown metric {type(metric).__name__}")
+    L = metric.transform if isinstance(metric, Mahalanobis) else None
+    if isinstance(domain, ConvexPolytope):  # dual norms; rows of A L^-1 are L^-T a
+        A = domain.A
+        norms = (np.abs(A).max(axis=1) if isinstance(metric, L1)
+                 else np.linalg.norm(A if L is None else A @ np.linalg.inv(L), axis=1))
+        return _polytope_distance(A, domain.b, norms, X)
+    if isinstance(metric, L1):
         raise UnsupportedPairingError(
-            "Euclidean distance to an L1 ball boundary is not implemented; "
-            "represent the domain as a ConvexPolytope instead")
-    for k in ball.positive_axes:
-        closer = X[:, k] < g
-        g = np.where(closer, X[:, k], g)
-        ek = np.zeros(X.shape[1])
-        ek[k] = 1.0
-        grad = np.where(closer[:, None], ek[None, :], grad)
-    return g, grad
-
-
-def _euclid_distance_batch(domain, X):
-    if isinstance(domain, ConvexPolytope):
-        return _polytope_distance(domain.A, domain.b, np.linalg.norm(domain.A, axis=1), X)
-    if isinstance(domain, Box):
-        return _euclid_box(domain.lower, domain.upper, X)
-    if isinstance(domain, Polygon):
-        return _euclid_polygon(domain.vertices, X)
-    if isinstance(domain, MetricBall):
-        return _euclid_metric_ball(domain, X)
+            "L1 metric distance is implemented for Box and ConvexPolytope only")
     if isinstance(domain, DisjointUnion):
         g = np.full(len(X), np.inf)
         grad = np.zeros_like(X)
         for comp in domain.components:
             mask = contains_batch(comp, X)
             if np.any(mask):
-                gc, gr = _euclid_distance_batch(comp, X[mask])
-                g[mask] = gc
-                grad[mask] = gr
+                g[mask], grad[mask] = _raw_distance_batch(comp, metric, X[mask])
         return g, grad
-    raise GeometryError(f"unknown domain type {type(domain).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# metric dispatch
-
-
-def _box_to_polytope(box: Box) -> ConvexPolytope:
-    d = box.dim
-    hs = []
-    for k in range(d):
-        a = np.zeros(d)
-        a[k] = -1.0
-        hs.append(Halfspace(a, box.lower[k]))       # -x_k + l_k < 0
-        a2 = np.zeros(d)
-        a2[k] = 1.0
-        hs.append(Halfspace(a2, -box.upper[k]))     # x_k - u_k < 0
-    return ConvexPolytope(hs)
-
-
-def _transform_domain(domain, L):
-    """Image of the domain under y = L x (L invertible)."""
-    Linv = np.linalg.inv(L)
-    if isinstance(domain, Box):
-        domain = _box_to_polytope(domain)
-    if isinstance(domain, ConvexPolytope):
-        A = domain.A @ Linv
-        return ConvexPolytope([Halfspace(A[j], domain.b[j]) for j in range(len(A))])
     if isinstance(domain, Polygon):
-        return Polygon(domain.vertices @ L.T)
+        if L is None:
+            return _euclid_polygon(domain.vertices, X)
+        g, grad = _euclid_polygon(domain.vertices @ L.T, X @ L.T)
+        return g, grad @ L
     if isinstance(domain, MetricBall):
-        if domain.positive_axes:
-            raise UnsupportedPairingError(
-                "Mahalanobis weight on a positivity-constrained ball is not implemented")
-        if isinstance(domain.metric, Euclidean):
-            S = np.eye(domain.dim)
-        elif isinstance(domain.metric, Mahalanobis):
-            S = domain.metric.sigma
-        else:
-            raise UnsupportedPairingError("cannot transform an L1 ball")
-        return MetricBall(Mahalanobis(L @ S @ L.T), domain.radius)
-    if isinstance(domain, DisjointUnion):
-        return DisjointUnion([_transform_domain(c, L) for c in domain.components])
+        return _ball_distance(domain, L, X)
     raise GeometryError(f"unknown domain type {type(domain).__name__}")
 
 
-def _l1_distance_batch(domain, X):
-    if isinstance(domain, Box):
-        domain = _box_to_polytope(domain)
-    if not isinstance(domain, ConvexPolytope):
+def _ball_distance(ball: MetricBall, L, X):
+    """Euclidean distance (L None) or distance in y = L x to a ball boundary."""
+    if isinstance(ball.metric, L1):
         raise UnsupportedPairingError(
-            "L1 metric distance is implemented for Box and ConvexPolytope only")
-    return _polytope_distance(domain.A, domain.b, np.abs(domain.A).max(axis=1), X)
-
-
-def _raw_distance_batch(domain, metric, X):
-    if isinstance(metric, Euclidean):
-        return _euclid_distance_batch(domain, X)
-    if isinstance(metric, L1):
-        return _l1_distance_batch(domain, X)
-    if isinstance(metric, Mahalanobis):
-        L = metric.transform
-        dom_y = _transform_domain(domain, L)
-        gy, grad_y = _euclid_distance_batch(dom_y, X @ L.T)
-        return gy, grad_y @ L
-    raise GeometryError(f"unknown metric {type(metric).__name__}")
+            "distance to an L1 ball boundary is not implemented; "
+            "represent the domain as a ConvexPolytope instead")
+    if L is None and isinstance(ball.metric, Euclidean):
+        g, grad = _euclid_sphere(ball.radius, X)
+    elif L is None:
+        R = ball.metric.transform
+        g, grad = _euclid_ellipsoid(R.T @ R, ball.radius, X)
+    elif ball.positive_axes:
+        raise UnsupportedPairingError(
+            "Mahalanobis weight on a positivity-constrained ball is not implemented")
+    else:
+        # {x : x^T S^-1 x < r^2} is {y : y^T (L S L^T)^-1 y < r^2} in y = L x
+        S = ball.metric.sigma if isinstance(ball.metric, Mahalanobis) else np.eye(ball.dim)
+        R = _inverse_factor(L @ S @ L.T)
+        g, grad = _euclid_ellipsoid(R.T @ R, ball.radius, X @ L.T)
+        return g, grad @ L
+    for k in ball.positive_axes:
+        closer = X[:, k] < g
+        g = np.where(closer, X[:, k], g)
+        grad[closer] = np.eye(X.shape[1])[k]
+    return g, grad
 
 
 def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
@@ -530,10 +500,12 @@ def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
     if X.ndim != 2 or X.shape[1] != domain.dim:
         raise DimensionMismatchError("points must be (n, d) matching domain")
     n, d = X.shape
+    if isinstance(weight.metric, Mahalanobis) and len(weight.metric.sigma) != d:
+        raise DimensionMismatchError(
+            f"{len(weight.metric.sigma)}-dimensional metric on a {d}-dimensional domain")
     inside = contains_batch(domain, X)
     if not np.all(inside):
-        bad = int(np.argmin(inside))
-        raise OutsideDomainError(f"point {bad} is outside the domain")
+        raise OutsideDomainError(f"point {int(np.argmin(inside))} is outside the domain")
     if weight.constant:
         return WeightTable(g=np.ones((n, d)), dg=np.zeros((n, d)), eval_count=1)
     g, grad = _raw_distance_batch(domain, weight.metric, X)
@@ -549,8 +521,7 @@ def distance(domain, weight: WeightSpec, x):
     """Weight value and its gradient at a single interior point."""
     x = np.asarray(x, dtype=float)
     if x.shape != (domain.dim,):
-        raise DimensionMismatchError(
-            f"point of dim {x.shape} vs domain dim {domain.dim}")
+        raise DimensionMismatchError(f"point of dim {x.shape} vs domain dim {domain.dim}")
     table = distance_batch(domain, weight, x[None, :])
     return float(table.g[0, 0]), table.dg[0]
 
@@ -566,20 +537,12 @@ def bounding_box(domain) -> Box:
         V = domain.vertices
         return Box(V.min(axis=0), V.max(axis=0))
     if isinstance(domain, MetricBall):
-        r = domain.radius
-        if isinstance(domain.metric, Euclidean):
-            half = np.full(domain.dim, r)
-        elif isinstance(domain.metric, Mahalanobis):
-            half = r * np.sqrt(np.diag(domain.metric.sigma))
-        elif isinstance(domain.metric, L1):
-            half = np.full(domain.dim, r)
-        else:
-            raise GeometryError("unknown metric")
-        lower, upper = -half, half.copy()
-        lower = lower.copy()
-        for k in domain.positive_axes:
-            lower[k] = 0.0
-        return Box(lower, upper)
+        half = np.full(domain.dim, domain.radius)
+        if isinstance(domain.metric, Mahalanobis):
+            half = domain.radius * np.sqrt(np.diag(domain.metric.sigma))
+        lower = -half
+        lower[list(domain.positive_axes)] = 0.0
+        return Box(lower, half)
     if isinstance(domain, ConvexPolytope):
         return _polytope_bbox(domain)
     if isinstance(domain, DisjointUnion):
@@ -592,11 +555,8 @@ def bounding_box(domain) -> Box:
 
 def _polytope_bbox(poly: ConvexPolytope) -> Box:
     d = poly.dim
-    lower = np.empty(d)
-    upper = np.empty(d)
-    for k in range(d):
-        c = np.zeros(d)
-        c[k] = 1.0
+    lower, upper = np.empty(d), np.empty(d)
+    for k, c in enumerate(np.eye(d)):
         for sign, out in ((1.0, lower), (-1.0, upper)):
             res = linprog(sign * c, A_ub=poly.A, b_ub=-poly.b,
                           bounds=[(None, None)] * d, method="highs")
@@ -634,40 +594,41 @@ def scale_template(name: str, b: float):
 
 def template_domain(name: str, b: float):
     parts = [Polygon(v) for v in scale_template(name, b)]
-    if len(parts) == 1:
-        return parts[0]
-    return DisjointUnion(parts)
+    return parts[0] if len(parts) == 1 else DisjointUnion(parts)
 
 
 # ---------------------------------------------------------------------------
 # file formats: one vertex or halfspace per line
 
 
-def load_polygon(path) -> Polygon:
-    verts = []
+def _read_rows(path):
+    """(line, floats) for each non-blank, non-comment line of a comma-separated file."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for line in map(str.strip, fh):
             if not line or line.startswith("#"):
                 continue
-            parts = [float(p) for p in line.split(",")]
-            if len(parts) != 2:
-                raise GeometryError(f"polygon line needs 'x,y': {line!r}")
-            verts.append(parts)
+            try:
+                parts = [float(p) for p in line.split(",")]
+            except ValueError:
+                raise GeometryError(f"non-numeric line {line!r} in {path}") from None
+            yield line, parts
+
+
+def load_polygon(path) -> Polygon:
+    verts = []
+    for line, parts in _read_rows(path):
+        if len(parts) != 2:
+            raise GeometryError(f"polygon line needs 'x,y': {line!r}")
+        verts.append(parts)
     return Polygon(np.array(verts))
 
 
 def load_halfspaces(path) -> ConvexPolytope:
     hs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [float(p) for p in line.split(",")]
-            if len(parts) < 2:
-                raise GeometryError(f"halfspace line needs 'a_1,..,a_d,b': {line!r}")
-            hs.append(Halfspace(np.array(parts[:-1]), parts[-1]))
+    for line, parts in _read_rows(path):
+        if len(parts) < 2:
+            raise GeometryError(f"halfspace line needs 'a_1,..,a_d,b': {line!r}")
+        hs.append(Halfspace(np.array(parts[:-1]), parts[-1]))
     return ConvexPolytope(hs)
 
 
@@ -682,16 +643,8 @@ def unit_square() -> ConvexPolytope:
 
 def hemi_l1_ball(d: int) -> ConvexPolytope:
     """{x : ||x||_1 < 1, x_d > 0} as a polytope with 2^(d-1)+1 facets."""
-    if d > 12:
-        raise GeometryError("facet count 2^(d-1)+1 is only accepted up to d=12")
-    hs = []
-    for bits in range(2 ** (d - 1)):
-        s = np.ones(d)
-        for i in range(d - 1):
-            if bits >> i & 1:
-                s[i] = -1.0
-        hs.append(Halfspace(s, -1.0))  # <s, x> < 1
-    a = np.zeros(d)
-    a[d - 1] = -1.0
-    hs.append(Halfspace(a, 0.0))       # x_d > 0
-    return ConvexPolytope(hs)
+    if not 1 <= d <= 12:
+        raise GeometryError(f"hemi_l1_ball takes 1 <= d <= 12 (2^(d-1)+1 facets), got d={d}")
+    signs = 1.0 - 2.0 * (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 1) & 1)
+    hs = [Halfspace(np.append(s, 1.0), -1.0) for s in signs]      # <s, x> < 1
+    return ConvexPolytope(hs + [Halfspace(np.append(np.zeros(d - 1), -1.0), 0.0)])  # x_d > 0

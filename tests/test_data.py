@@ -141,3 +141,32 @@ def test_hemiball_sampler_matches_direct_rejection():
     assert np.all(np.abs(ds.points.mean(axis=0) - D.mean(axis=0)) < 4 * se)
     se2 = np.sqrt(ds.points.var(axis=0) ** 2 / ds.n + D.var(axis=0) ** 2 / len(D)) * np.sqrt(2)
     assert np.all(np.abs(ds.points.var(axis=0) - D.var(axis=0)) < 4 * se2)
+
+
+def _hemiball_grid(d, steps):
+    """Grid points of the closed hemi-l1-ball, spacing 2 / steps."""
+    axes = [np.linspace(-1.0, 1.0, steps + 1)] * (d - 1) + [np.linspace(0.0, 1.0, steps // 2 + 1)]
+    P = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, d)
+    return P[np.abs(P).sum(axis=1) <= 1.0]
+
+
+@pytest.mark.parametrize("d, steps, above", [(2, 1000, (0.6, 2.5)), (3, 100, (0.4, 0.4, 2.0))],
+                         ids=["d2", "d3"])
+def test_hemiball_sampler_bound_vs_grid(d, steps, above):
+    # the rejection bound is the squared distance from the mean to the closed
+    # hemi-ball; above the true minimum, acceptance probabilities exceed one
+    P = _hemiball_grid(d, steps)
+    h = 2.0 / steps
+    inside = np.append(np.full(d - 1, 0.1), 0.3)
+    beside = np.append(np.full(d - 1, 1.2), 0.4)     # outside the l1 ball, x_d > 0
+    below = np.append(np.full(d - 1, 0.3), -0.8)     # x_d < 0
+    deep = np.append(np.full(d - 1, -1.5), -2.0)
+    above = np.array(above)                          # nearest point is the apex e_d
+    for mean in (inside, beside, below, deep, above):
+        bound = data._dist2_to_hemiball(mean)
+        grid = float(((P - mean) ** 2).sum(axis=1).min())
+        assert bound <= grid + 1e-12
+        assert np.sqrt(grid) - np.sqrt(bound) <= 2.0 * h * np.sqrt(d)
+    assert data._dist2_to_hemiball(inside) == 0.0
+    apex = np.append(np.zeros(d - 1), 1.0)
+    assert data._dist2_to_hemiball(above) == pytest.approx(((above - apex) ** 2).sum(), abs=1e-14)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truncsm import geometry
+from truncsm import geometry, presets
 from truncsm.geometry import (
     Box,
     ConvexPolytope,
@@ -118,6 +118,40 @@ def test_weight_spec_cap_constant_exclusive():
 def test_metric_ball_radius_positive():
     with pytest.raises(GeometryError):
         MetricBall(Euclidean(), 0.0, dim=2)
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "domain.txt"
+    path.write_text(text)
+    return path
+
+
+MALFORMED = {
+    "nan vertex": (lambda tmp: load_polygon(_write(tmp, "nan,1\n1,0\n0,1\n")),
+                   GeometryError, "finite"),
+    "text vertex": (lambda tmp: load_polygon(_write(tmp, "0,0\n1,x\n0,1\n")),
+                    GeometryError, "non-numeric"),
+    "mixed halfspace dims": (lambda tmp: load_halfspaces(_write(tmp, "-1,0,0\n1,0,-1\n0,-1,0,0\n")),
+                             DimensionMismatchError, "mix dimensions"),
+    "nan halfspace": (lambda tmp: Halfspace(np.array([np.nan, 1.0]), 0.0), GeometryError, "finite"),
+    "positive axis out of range": (lambda tmp: MetricBall(Euclidean(), 1, positive_axes=(5,), dim=2),
+                                   GeometryError, "out of range"),
+    "zero dim": (lambda tmp: MetricBall(Euclidean(), 1, dim=0), GeometryError, "dimension"),
+    "nan radius": (lambda tmp: MetricBall(Euclidean(), np.nan, dim=2), GeometryError, "radius"),
+    "dim vs sigma": (lambda tmp: MetricBall(Mahalanobis(np.eye(2)), 1, dim=3),
+                     DimensionMismatchError, "disagrees"),
+    "hemi d=0": (lambda tmp: hemi_l1_ball(0), GeometryError, "d=0"),
+    "metric vs domain dim": (lambda tmp: distance_batch(unit_square(), WeightSpec(metric=Mahalanobis(np.eye(3))),
+                                                        np.full((1, 2), 0.5)),
+                             DimensionMismatchError, "3-dimensional metric"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_domain_raises_typed_error(case, tmp_path):
+    build, error, message = MALFORMED[case]
+    with pytest.raises(error, match=message):
+        build(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +374,92 @@ def test_distance_gradient_vs_fd(polygon_preset):
             # near the medial axis FD straddles the kink; skip those points
             continue
         assert np.allclose(grad, fd, atol=1e-5)
+
+
+# a non-diagonal SPD sigma per dimension; Mahalanobis weights equal Euclidean
+# distances in y = L x, where the oracles run on the mapped boundary
+SIGMA_SPD = {2: np.array([[1.0, 0.35], [0.35, 0.6]]),
+             3: np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.5]])}
+MAHA_DOMAINS = {
+    "box": lambda: Box([0.0, -1.0], [2.0, 3.0]),
+    "polytope": lambda: random_convex_polytope_3d(7),
+    "polygon": presets.default_polygon,
+    "euclidean-ball": lambda: MetricBall(Euclidean(), 1.5, dim=2),
+    "union": lambda: template_domain("disjoint", 1.0),
+}
+
+
+def _mapped_oracle(domain, L, x, rng):
+    y = L @ x
+    if isinstance(domain, DisjointUnion):
+        [comp] = [c for c in domain.components if contains(c, x)]
+        return _mapped_oracle(comp, L, x, rng)
+    if isinstance(domain, ConvexPolytope):
+        return brute_polytope_distance(domain.A @ np.linalg.inv(L), domain.b, y, rng,
+                                       n_per_facet=20_000)[0]
+    if isinstance(domain, Polygon):
+        return brute_polygon_distance(domain.vertices @ L.T, y, n_samples=120_000)
+    return brute_ellipsoid_distance(np.linalg.inv(L @ L.T), domain.radius, y, rng)
+
+
+@pytest.mark.parametrize("case", sorted(MAHA_DOMAINS))
+def test_mahalanobis_weights_vs_oracles(case, monkeypatch):
+    domain = MAHA_DOMAINS[case]()
+
+    def rebuilt(V):
+        raise AssertionError("a polygon was rebuilt during a distance evaluation")
+
+    monkeypatch.setattr(geometry, "_check_simple", rebuilt)
+    spec = WeightSpec(metric=Mahalanobis(SIGMA_SPD[domain.dim]))
+    L = spec.metric.transform
+    X = interior_points(domain, 6, seed=8)
+    table = distance_batch(domain, spec, X)
+    rng = np.random.default_rng(5)
+    ref = np.array([_mapped_oracle(domain, L, x, rng) for x in X])
+    assert np.all(np.abs(table.g[:, 0] - ref) < 1e-3)
+    checked = 0
+    for x, grad in zip(X, table.dg):
+        fd = fd_gradient(lambda z: distance(domain, spec, z)[0], x)
+        if np.linalg.norm(fd - grad) > 1e-5:
+            # near the medial axis FD straddles the kink; skip those points
+            continue
+        assert np.allclose(grad, fd, atol=1e-6)
+        checked += 1
+    assert checked >= len(X) - 2
+
+
+PAIRING_DOMAINS = dict(MAHA_DOMAINS, **{
+    "mahalanobis-ball": lambda: MetricBall(Mahalanobis(SIGMA_RHO9), 1.0),
+    "positive-ball": lambda: MetricBall(Euclidean(), 1.0, positive_axes=(1,), dim=2),
+    "l1-ball": lambda: MetricBall(L1(), 1.0, dim=2),
+})
+UNSUPPORTED = ({(name, "l1") for name in PAIRING_DOMAINS if name not in ("box", "polytope")}
+               | {("positive-ball", "mahalanobis"), ("l1-ball", "euclidean"),
+                  ("l1-ball", "mahalanobis")})
+
+
+@pytest.mark.parametrize("metric_name", ["euclidean", "l1", "mahalanobis"])
+@pytest.mark.parametrize("domain_name", sorted(PAIRING_DOMAINS))
+def test_pairing_matrix(domain_name, metric_name):
+    # l1 reaches polytope facets only; every other pairing is exact, and the
+    # gradient of a distance function has unit dual norm
+    domain = PAIRING_DOMAINS[domain_name]()
+    metric = {"euclidean": Euclidean(), "l1": L1(),
+              "mahalanobis": Mahalanobis(SIGMA_SPD[domain.dim])}[metric_name]
+    X = interior_points(domain, 50, seed=3)
+    if (domain_name, metric_name) in UNSUPPORTED:
+        with pytest.raises(UnsupportedPairingError):
+            distance_batch(domain, WeightSpec(metric=metric), X)
+        return
+    table = distance_batch(domain, WeightSpec(metric=metric), X)
+    assert np.all(np.isfinite(table.g)) and np.all(table.g > 0.0)
+    if metric_name == "euclidean":
+        dual = np.linalg.norm(table.dg, axis=1)
+    elif metric_name == "l1":
+        dual = np.abs(table.dg).max(axis=1)
+    else:
+        dual = np.linalg.norm(np.linalg.solve(metric.transform.T, table.dg.T), axis=0)
+    assert np.allclose(dual, 1.0, rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
