@@ -20,18 +20,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="truncsm",
         description="Truncated-density estimation experiments "
-                    "(boundary-distance-weighted score matching)")
+                    "(boundary-distance-weighted score matching); an option "
+                    "left out takes the experiment's paper setting")
     p.add_argument("--experiment", required=True, choices=sorted(DRIVERS))
-    p.add_argument("--seeds", type=_int_list, default=list(range(10)),
-                   help="comma-separated seed list (default 0..9)")
+    p.add_argument("--seeds", type=_int_list, default=[],
+                   help="comma-separated seed list")
     p.add_argument("--n", type=_int_list, default=[],
                    help="sample size or comma-separated grid")
-    p.add_argument("--method", type=lambda s: s.split(","), default=[],
+    p.add_argument("--method", dest="methods", type=lambda s: s.split(","), default=[],
                    help="comma-separated methods: truncsm,rjmle,mle,sm-constant")
-    p.add_argument("--metric", choices=["euclidean", "mahalanobis", "l1"])
     p.add_argument("--cap", type=_float_list, default=[],
                    help="cap value(s) c for the capped weight")
-    p.add_argument("--particles", type=_int_list, default=[500_000])
+    p.add_argument("--particles", type=_int_list, default=[])
     p.add_argument("--restarts", type=int)
     p.add_argument("--domain-file", help="polygon vertex file (one 'x,y' per line)")
     p.add_argument("--points-file", help="point CSV with longitude/latitude columns")
@@ -46,29 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=args.experiment,
-        seeds=args.seeds,
-        n=args.n,
-        methods=args.method,
-        metric=args.metric,
-        cap=args.cap,
-        particles=args.particles,
-        restarts=args.restarts,
-        domain_file=args.domain_file,
-        points_file=args.points_file,
-        sigma=args.sigma,
-        b_grid=args.b_grid,
-        d_grid=args.d_grid,
-        out=args.out,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = run(config_from_args(args))
+        out = run(ExperimentConfig(**vars(args)))
     except Exception as exc:  # noqa: BLE001 - nonzero exit with a diagnostic
         print(f"error: {exc}", file=sys.stderr)
         return 1

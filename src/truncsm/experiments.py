@@ -22,17 +22,21 @@ from . import baselines, data, estimator, geometry, models, presets
 SCHEMA = "truncsm-result-v1"
 COLUMNS = ["experiment", "seed", "n", "method", "weight", "params",
            "error", "iterations", "objective"]
+EUCLIDEAN = geometry.WeightSpec(metric=geometry.Euclidean())
+CONSTANT = geometry.WeightSpec(constant=True)
 
 
 @dataclass
 class ExperimentConfig:
+    """The options as given; an empty or None field takes the driver's
+    default, which is the paper's setting."""
+
     experiment: str
-    seeds: list = field(default_factory=lambda: list(range(10)))
+    seeds: list = field(default_factory=list)
     n: list = field(default_factory=list)           # sample-size grid
     methods: list = field(default_factory=list)
-    metric: Optional[str] = None                    # maha-vs-euclid: euclidean | mahalanobis
     cap: list = field(default_factory=list)         # cap grid (c values)
-    particles: list = field(default_factory=lambda: [500_000])
+    particles: list = field(default_factory=list)
     restarts: Optional[int] = None
     domain_file: Optional[str] = None
     points_file: Optional[str] = None
@@ -123,6 +127,17 @@ def _methods(cfg, default, accepted, experiment) -> list:
     return methods
 
 
+def _fit(method, family, ds, domain, opts, particles=None, normalizer=None):
+    """One method's fit over all its restarts, and the result row's weight."""
+    if method in ("truncsm", "sm-constant"):
+        spec = EUCLIDEAN if method == "truncsm" else CONSTANT
+        return estimator.fit(family, ds, domain, spec, opts), _weight_name(spec)
+    if method == "rjmle":
+        return baselines.fit_rjmle(family, ds, domain, particles, opts,
+                                   normalizer=normalizer), "none"
+    return baselines.fit_mle_untruncated(family, ds, opts), "none"
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -136,38 +151,25 @@ def run_gmm_polygon(cfg: ExperimentConfig):
     methods = _methods(cfg, ["truncsm", "rjmle"], ["truncsm", "sm-constant", "rjmle"],
                        "gmm-polygon")
     restarts = cfg.restarts or 10
-    weight = geometry.WeightSpec(metric=geometry.Euclidean())
 
     rows, timings = [], []
-    for seed in cfg.seeds:
+    for seed in cfg.seeds or range(10):
         ds = data.sample_truncated(family, truth, domain, n_generated, seed)
         for method in methods:
-            opts = estimator.FitOptions(restarts=restarts, seed=seed,
-                                        init_style="kmeans++")
-            if method in ("truncsm", "sm-constant"):
-                spec = weight if method == "truncsm" \
-                    else geometry.WeightSpec(constant=True)
+            # RJ-MLE runs once per particle count, with at most 3 restarts
+            runs = [(N, min(restarts, 3)) for N in cfg.particles or [500_000]] \
+                if method == "rjmle" else [(None, restarts)]
+            for N, r in runs:
+                opts = estimator.FitOptions(restarts=r, seed=seed, init_style="kmeans++")
                 t0 = time.perf_counter()
-                rep = estimator.fit(family, ds, domain, spec, opts)
+                rep, weight = _fit(method, family, ds, domain, opts, particles=N)
                 wt = time.perf_counter() - t0
                 err, _, _ = estimator.match_centers(rep.theta_hat, truth, 2)
-                rows.append(_row(cfg, seed, ds.n, method, _weight_name(spec),
-                                 _params_str(centers=_centers_str(rep.theta_hat, 2)),
+                rows.append(_row(cfg, seed, ds.n, method, weight,
+                                 _params_str(particles=N,
+                                             centers=_centers_str(rep.theta_hat, 2)),
                                  err, rep))
-                timings.append((f"{seed}:{method}", wt))
-            else:  # rjmle
-                ropts = estimator.FitOptions(restarts=min(restarts, 3), seed=seed,
-                                             init_style="kmeans++")
-                for N in cfg.particles:
-                    t0 = time.perf_counter()
-                    rep = baselines.fit_rjmle(family, ds, domain, N, ropts)
-                    wt = time.perf_counter() - t0
-                    err, _, _ = estimator.match_centers(rep.theta_hat, truth, 2)
-                    rows.append(_row(cfg, seed, ds.n, method, "none",
-                                     _params_str(particles=N,
-                                                 centers=_centers_str(rep.theta_hat, 2)),
-                                     err, rep))
-                    timings.append((f"{seed}:{method}:{N}", wt))
+                timings.append((f"{seed}:{method}" + (f":{N}" if N else ""), wt))
     return write_results(cfg, rows, timings)
 
 
@@ -184,15 +186,10 @@ def run_maha_vs_euclid(cfg: ExperimentConfig):
             raise ExperimentError("correlation must lie in [0, 1)")
         Sigma = np.array([[1.0, -rho], [-rho, 1.0]])
         domain = geometry.MetricBall(geometry.Mahalanobis(Sigma), 1.0)
-        specs = {"euclidean": geometry.WeightSpec(metric=geometry.Euclidean()),
+        specs = {"euclidean": EUCLIDEAN,
                  "mahalanobis": geometry.WeightSpec(metric=geometry.Mahalanobis(Sigma))}
-        if cfg.metric:
-            if cfg.metric not in specs:
-                raise ExperimentError(f"unknown metric {cfg.metric!r} for maha-vs-euclid; "
-                                      f"use one of {', '.join(specs)}")
-            specs = {cfg.metric: specs[cfg.metric]}
         for n in n_grid:
-            for seed in cfg.seeds:
+            for seed in cfg.seeds or range(50):
                 ds = data.sample_truncated_n(family, theta_true, domain, n, seed)
                 for name, spec in specs.items():
                     t0 = time.perf_counter()
@@ -219,14 +216,13 @@ def run_capped_scaling(cfg: ExperimentConfig):
     for template in templates:
         for b in b_grid:
             domain = geometry.template_domain(template, b)
-            for seed in cfg.seeds:
+            for seed in cfg.seeds or range(20):
                 ds = data.sample_truncated(family, theta_true, domain,
                                            n_generated, seed)
-                raw = geometry.distance_batch(
-                    domain, geometry.WeightSpec(metric=geometry.Euclidean()), ds.points)
+                raw = geometry.distance_batch(domain, EUCLIDEAN, ds.points)
                 for c in c_grid:
                     frac = float((c * raw.g[:, 0] >= 1.0).mean())
-                    spec = geometry.WeightSpec(metric=geometry.Euclidean(), cap=c)
+                    spec = dataclasses.replace(EUCLIDEAN, cap=c)
                     t0 = time.perf_counter()
                     rep = estimator.fit(family, ds, domain, spec,
                                         estimator.FitOptions(seed=seed))
@@ -245,16 +241,14 @@ def run_l1_vs_l2(cfg: ExperimentConfig):
     d_grid = cfg.d_grid or [2, 4, 8]
     n = cfg.n[0] if cfg.n else 150
 
+    specs = {"l2": EUCLIDEAN, "l1": geometry.WeightSpec(metric=geometry.L1())}
+
     rows, timings = [], []
     for d in d_grid:
-        if d > 12:
-            raise ExperimentError("d > 12 not supported (facet blowup)")
         domain = geometry.hemi_l1_ball(d)
         family = models.GaussianMean(d)
         theta_true = np.full(d, 0.5)
-        specs = {"l2": geometry.WeightSpec(metric=geometry.Euclidean()),
-                 "l1": geometry.WeightSpec(metric=geometry.L1())}
-        for seed in cfg.seeds:
+        for seed in cfg.seeds or range(50):
             ds = data.sample_gaussian_in_l1_hemiball(theta_true, n, seed)
             for name, spec in specs.items():
                 t0 = time.perf_counter()
@@ -292,21 +286,15 @@ def _chicago_real(cfg: ExperimentConfig):
     seed = cfg.seeds[0] if cfg.seeds else 0
     box = geometry.bounding_box(domain)
     diag = float(np.linalg.norm(box.upper - box.lower))
-    weight = geometry.WeightSpec(metric=geometry.Euclidean())
     opts = estimator.FitOptions(restarts=restarts, seed=seed)
+    particles = (cfg.particles or [500_000])[0]
     normalizer = None
     if "rjmle" in methods:
-        normalizer = baselines.make_normalizer(domain, cfg.particles[0], seed=seed)
+        normalizer = baselines.make_normalizer(domain, particles, seed=seed)
 
     rows, timings, center_lines = [], [], ["method,restart,component,x,y"]
     for method in methods:
-        if method == "truncsm":
-            rep = estimator.fit(family, ds, domain, weight, opts)
-        elif method == "rjmle":
-            rep = baselines.fit_rjmle(family, ds, domain, cfg.particles[0], opts,
-                                      normalizer=normalizer)
-        else:  # mle
-            rep = baselines.fit_mle_untruncated(family, ds, opts)
+        rep, weight = _fit(method, family, ds, domain, opts, particles, normalizer)
         # every restart's centers, labels aligned to the first restart's
         C = [res.x for res in rep.restarts]
         aligned = []
@@ -317,8 +305,7 @@ def _chicago_real(cfg: ExperimentConfig):
             aligned.append(theta.reshape(family.K, 2)[perm].reshape(-1))
         A = np.array(aligned)
         sd = float(A.std(axis=0).max())
-        rows.append({**_row(cfg, seed, ds.n, method,
-                            _weight_name(weight) if method == "truncsm" else "none",
+        rows.append({**_row(cfg, seed, ds.n, method, weight,
                             _params_str(restarts=restarts, center_sd=sd, bbox_diag=diag,
                                         mean_centers=_centers_str(A.mean(axis=0), 2))),
                      "iterations": restarts})
@@ -336,26 +323,18 @@ def _chicago_synthetic(cfg: ExperimentConfig):
     domain = geometry.Box(np.array([0.0, -3.0]), np.array([6.0, 3.0]))
     family = models.GaussianMean(2)
     n = cfg.n[0] if cfg.n else 1000
-    weight = geometry.WeightSpec(metric=geometry.Euclidean())
     methods = _methods(cfg, ["truncsm", "mle"], ["truncsm", "sm-constant", "mle"],
                        "chicago")
 
     rows, timings = [], []
-    for seed in cfg.seeds:
+    for seed in cfg.seeds or range(50):
         ds = data.sample_truncated_n(family, theta_true, domain, n, seed)
         for method in methods:
             t0 = time.perf_counter()
-            if method in ("truncsm", "sm-constant"):
-                spec = weight if method == "truncsm" \
-                    else geometry.WeightSpec(constant=True)
-                rep = estimator.fit(family, ds, domain, spec,
-                                    estimator.FitOptions(seed=seed))
-            else:  # mle
-                rep = baselines.fit_mle_untruncated(family, ds)
+            rep, weight = _fit(method, family, ds, domain, estimator.FitOptions(seed=seed))
             wt = time.perf_counter() - t0
             err = float(np.linalg.norm(rep.theta_hat - theta_true))
-            rows.append(_row(cfg, seed, n, method,
-                             _weight_name(spec) if method in ("truncsm", "sm-constant") else "none",
+            rows.append(_row(cfg, seed, n, method, weight,
                              _params_str(center_x=float(rep.theta_hat[0]),
                                          center_y=float(rep.theta_hat[1])),
                              err, rep))
@@ -369,19 +348,18 @@ def run_identity_check(cfg: ExperimentConfig):
     domain = geometry.unit_square()
     family = models.GaussianMean(2)
     theta = np.array([0.2, 0.2])
-    weight = geometry.WeightSpec(metric=geometry.Euclidean())
     true_score = lambda X: -X  # standard Gaussian data score
 
     rows, timings = [], []
-    for seed in cfg.seeds:
+    for seed in cfg.seeds or range(10):
         t0 = time.perf_counter()
         ds = data.sample_truncated_n(models.GaussianMean(2), np.zeros(2), domain,
                                      n, seed, batch=200_000)
-        table = geometry.distance_batch(domain, weight, ds.points)
+        table = geometry.distance_batch(domain, EUCLIDEAN, ds.points)
         lhs, rhs, z = estimator.ibp_identity_check(family, theta, ds.points,
                                                    true_score, table)
         wt = time.perf_counter() - t0
-        rows.append(_row(cfg, seed, n, "truncsm", _weight_name(weight),
+        rows.append(_row(cfg, seed, n, "truncsm", _weight_name(EUCLIDEAN),
                          _params_str(lhs=lhs, rhs=rhs, zscore=z)))
         timings.append((str(seed), wt))
     return write_results(cfg, rows, timings)
@@ -400,7 +378,4 @@ DRIVERS = {
 def run(cfg: ExperimentConfig):
     if cfg.experiment not in DRIVERS:
         raise ExperimentError(f"unknown experiment {cfg.experiment!r}")
-    if cfg.metric and cfg.experiment != "maha-vs-euclid":
-        raise ExperimentError(f"--metric is read only by maha-vs-euclid, "
-                              f"not by {cfg.experiment}")
     return DRIVERS[cfg.experiment](cfg)

@@ -62,6 +62,8 @@ class Mahalanobis:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise GeometryError("sigma must be a square matrix")
+        if not np.isfinite(sigma).all():
+            raise GeometryError("sigma must be finite")
         if not np.allclose(sigma, sigma.T):
             raise GeometryError("sigma must be symmetric")
         try:

@@ -23,20 +23,33 @@ def test_unknown_experiment_exits_nonzero(capsys):
         main(["--experiment", "nope", "--out", "x.csv"])
 
 
-def test_unknown_metric_names_the_accepted_ones(tmp_path, capsys):
-    rc = main(["--experiment", "maha-vs-euclid", "--metric", "l1", "--seeds", "0",
-               "--n", "50", "--out", str(tmp_path / "o.csv")])
-    assert rc != 0
-    err = capsys.readouterr().err
-    assert "unknown metric 'l1'" in err
-    assert "euclidean" in err and "mahalanobis" in err
-
-
 def test_missing_required_inputs_error(tmp_path, capsys):
     rc = main(["--experiment", "chicago", "--points-file", "nope.csv",
                "--out", str(tmp_path / "o.csv")])
     assert rc != 0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, n_seeds", [
+    (["chicago", "--n", "50"], 50),
+    (["maha-vs-euclid", "--sigma", "0.3", "--n", "50"], 50),
+    (["l1-vs-l2", "--d-grid", "2", "--n", "20"], 50),
+    (["capped-scaling", "--b-grid", "1", "--cap", "10", "--n", "200"], 20),
+    (["identity-check", "--n", "2000"], 10),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_seeds_default_to_the_papers_count(tmp_path, args, n_seeds):
+    out = tmp_path / "o.csv"
+    assert main(["--experiment"] + args + ["--out", str(out)]) == 0
+    assert {int(r["seed"]) for r in read_rows(out)} == set(range(n_seeds))
+
+
+def test_l1_vs_l2_dimension_out_of_range_fails_without_output(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    rc = main(["--experiment", "l1-vs-l2", "--d-grid", "13", "--seeds", "0",
+               "--n", "20", "--out", str(out)])
+    assert rc == 1
+    assert "1 <= d <= 12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_identity_check_run(tmp_path):
@@ -211,15 +224,6 @@ def test_chicago_real_data_path(tmp_path):
     centers = (tmp_path / "chi.centers.csv").read_text().splitlines()
     assert centers[0] == "method,restart,component,x,y"
     assert len(centers) == 1 + 2 * 2 * 20  # methods * components * restarts
-
-
-def test_metric_is_rejected_where_no_driver_reads_it(tmp_path, capsys):
-    out = tmp_path / "o.csv"
-    rc = main(["--experiment", "l1-vs-l2", "--metric", "l1", "--seeds", "0",
-               "--n", "20", "--d-grid", "2", "--out", str(out)])
-    assert rc != 0
-    assert "read only by maha-vs-euclid" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", ["gmm-polygon", "synthetic", "real"])

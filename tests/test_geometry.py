@@ -141,6 +141,10 @@ MALFORMED = {
     "dim vs sigma": (lambda tmp: MetricBall(Mahalanobis(np.eye(2)), 1, dim=3),
                      DimensionMismatchError, "disagrees"),
     "hemi d=0": (lambda tmp: hemi_l1_ball(0), GeometryError, "d=0"),
+    "nan sigma": (lambda tmp: Mahalanobis(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                  GeometryError, "sigma must be finite"),
+    "inf sigma": (lambda tmp: Mahalanobis(np.array([[np.inf, 0.0], [0.0, 1.0]])),
+                  GeometryError, "sigma must be finite"),
     "metric vs domain dim": (lambda tmp: distance_batch(unit_square(), WeightSpec(metric=Mahalanobis(np.eye(3))),
                                                         np.full((1, 2), 0.5)),
                              DimensionMismatchError, "3-dimensional metric"),
