@@ -49,7 +49,7 @@ def estimate_log_z(family, theta, est: NormalizerEstimate):
     lp = family.logp_batch(theta, est.inside)
     w, lse = _softmax_lse(lp[None, :])
     log_z = float(np.log(est.box_volume) + lse[0] - np.log(len(est.particles)))
-    return log_z, w[0] @ family.grad_logp_batch(theta, est.inside)
+    return log_z, family.grad_logp_batch(theta, est.inside, w[0])
 
 
 def _grad_log_z(family, theta, est: NormalizerEstimate) -> np.ndarray:
@@ -67,17 +67,19 @@ def fit_rjmle(family, dataset, domain, n_particles: int,
         raise EstimatorError("empty dataset")
     est = normalizer or make_normalizer(domain, n_particles, seed=opts.seed)
     evals_before = est.eval_count
+    mean = np.full(len(X), 1.0 / len(X))
 
     def fg(theta):
         log_z, grad_log_z = estimate_log_z(family, theta, est)
         f = -(family.logp_batch(theta, X).mean() - log_z)
-        g = -(family.grad_logp_batch(theta, X).mean(axis=0) - grad_log_z)
+        g = -(family.grad_logp_batch(theta, X, mean) - grad_log_z)
         return f, g
 
-    rep = _run_restarts(
-        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
-        initial_points(family, X, opts),
-        diagnostics={"n": len(X), "n_particles": len(est.particles)})
+    with family.memoized():
+        rep = _run_restarts(
+            lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
+            initial_points(family, X, opts),
+            diagnostics={"n": len(X), "n_particles": len(est.particles)})
     rep.normalizer_eval_count = est.eval_count - evals_before
     return rep
 
@@ -90,10 +92,11 @@ def fit_mle_untruncated(family, dataset, opts: Optional[FitOptions] = None) -> F
     X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
     if len(X) == 0:
         raise EstimatorError("empty dataset")
-    return _run_restarts(
-        lambda theta0: _em_fixed_variance(family, X, theta0, tol=1e-8,
-                                          max_iters=opts.max_iters),
-        initial_points(family, X, opts), diagnostics={"n": len(X)})
+    with family.memoized():
+        return _run_restarts(
+            lambda theta0: _em_fixed_variance(family, X, theta0, tol=1e-8,
+                                              max_iters=opts.max_iters),
+            initial_points(family, X, opts), diagnostics={"n": len(X)})
 
 
 def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int) -> MinimizeResult:

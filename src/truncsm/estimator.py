@@ -132,7 +132,9 @@ def _run_restarts(solve, inits, **report) -> FitReport:
 
 def fit(family, dataset, domain, weight_spec: WeightSpec,
         opts: Optional[FitOptions] = None) -> FitReport:
-    """Precompute weights once, then minimize the empirical objective.
+    """Precompute weights once, then minimize the empirical objective; the
+    family keeps its kernel pass while the restarts run (`memoized`), so each
+    evaluation makes one pass over the data.
 
     For K = 1 the score is affine in the mean, the objective is quadratic and
     its minimizer is, per coordinate, (sum g x - sigma2 sum dg) / sum g; the
@@ -151,10 +153,11 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
     def fg(theta):
         return objective_and_grad(family, theta, X, weights)
 
-    return _run_restarts(
-        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
-        initial_points(family, X, opts),
-        weight_eval_count=weights.eval_count, diagnostics={"n": len(X)})
+    with family.memoized():
+        return _run_restarts(
+            lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
+            initial_points(family, X, opts),
+            weight_eval_count=weights.eval_count, diagnostics={"n": len(X)})
 
 
 def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:

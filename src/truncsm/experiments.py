@@ -127,6 +127,16 @@ def _methods(cfg, default, accepted, experiment) -> list:
     return methods
 
 
+def _single(cfg, option, default, experiment):
+    """The one value of `option` that a driver without a grid over it takes;
+    a list of several fails before any fit runs."""
+    values = getattr(cfg, option)
+    if len(values) > 1:
+        raise ExperimentError(f"{experiment} takes one --{option} value, got "
+                              f"{','.join(str(v) for v in values)}")
+    return values[0] if values else default
+
+
 def _fit(method, family, ds, domain, opts, particles=None, normalizer=None):
     """One method's fit over all its restarts, and the result row's weight."""
     if method in ("truncsm", "sm-constant"):
@@ -147,7 +157,7 @@ def run_gmm_polygon(cfg: ExperimentConfig):
         else presets.default_polygon()
     family = models.IsotropicGMM(d=2, K=4, sigma2=1.0)
     truth = presets.GMM_TRUE_CENTERS.reshape(-1)
-    n_generated = cfg.n[0] if cfg.n else 10_000
+    n_generated = _single(cfg, "n", 10_000, "gmm-polygon")
     methods = _methods(cfg, ["truncsm", "rjmle"], ["truncsm", "sm-constant", "rjmle"],
                        "gmm-polygon")
     restarts = cfg.restarts or 10
@@ -207,7 +217,7 @@ def run_capped_scaling(cfg: ExperimentConfig):
     """Capped weights while the truncation window scales up."""
     b_grid = cfg.b_grid or [0.5, 1.0, 2.0, 4.0, 16.0]
     c_grid = cfg.cap or [0.1, 10.0, 100.0]
-    n_generated = cfg.n[0] if cfg.n else 1600
+    n_generated = _single(cfg, "n", 1600, "capped-scaling")
     theta_true = np.array([0.5, 0.5])
     family = models.GaussianMean(2)
     templates = ["square", "disjoint"]
@@ -239,7 +249,7 @@ def run_capped_scaling(cfg: ExperimentConfig):
 def run_l1_vs_l2(cfg: ExperimentConfig):
     """L1 vs Euclidean weight metric on the hemi-l1-ball window."""
     d_grid = cfg.d_grid or [2, 4, 8]
-    n = cfg.n[0] if cfg.n else 150
+    n = _single(cfg, "n", 150, "l1-vs-l2")
 
     specs = {"l2": EUCLIDEAN, "l1": geometry.WeightSpec(metric=geometry.L1())}
 
@@ -273,9 +283,11 @@ def run_chicago(cfg: ExperimentConfig):
 def _chicago_real(cfg: ExperimentConfig):
     if not cfg.domain_file:
         raise ExperimentError("chicago needs --domain-file with the boundary polygon")
-    if not cfg.sigma:
+    sigma = _single(cfg, "sigma", None, "chicago")
+    if sigma is None:
         raise ExperimentError("chicago needs --sigma (component standard deviation)")
-    sigma = float(cfg.sigma[0])
+    seed = _single(cfg, "seeds", 0, "chicago")
+    particles = _single(cfg, "particles", 500_000, "chicago")
     domain = geometry.load_polygon(cfg.domain_file)
     ds = data.load_points_csv(cfg.points_file, lon_col="longitude", lat_col="latitude")
     ds = data.clip_to_domain(ds, domain)
@@ -283,11 +295,9 @@ def _chicago_real(cfg: ExperimentConfig):
     restarts = cfg.restarts or 500
     methods = _methods(cfg, ["truncsm", "rjmle", "mle"], ["truncsm", "rjmle", "mle"],
                        "chicago")
-    seed = cfg.seeds[0] if cfg.seeds else 0
     box = geometry.bounding_box(domain)
     diag = float(np.linalg.norm(box.upper - box.lower))
     opts = estimator.FitOptions(restarts=restarts, seed=seed)
-    particles = (cfg.particles or [500_000])[0]
     normalizer = None
     if "rjmle" in methods:
         normalizer = baselines.make_normalizer(domain, particles, seed=seed)
@@ -322,7 +332,7 @@ def _chicago_synthetic(cfg: ExperimentConfig):
     theta_true = np.array([-0.5, 0.0])
     domain = geometry.Box(np.array([0.0, -3.0]), np.array([6.0, 3.0]))
     family = models.GaussianMean(2)
-    n = cfg.n[0] if cfg.n else 1000
+    n = _single(cfg, "n", 1000, "chicago")
     methods = _methods(cfg, ["truncsm", "mle"], ["truncsm", "sm-constant", "mle"],
                        "chicago")
 
@@ -344,7 +354,7 @@ def _chicago_synthetic(cfg: ExperimentConfig):
 
 def run_identity_check(cfg: ExperimentConfig):
     """Monte Carlo verification of the integration-by-parts identity."""
-    n = cfg.n[0] if cfg.n else 100_000
+    n = _single(cfg, "n", 100_000, "identity-check")
     domain = geometry.unit_square()
     family = models.GaussianMean(2)
     theta = np.array([0.2, 0.2])

@@ -298,11 +298,16 @@ def contains_batch(domain, X) -> np.ndarray:
             inside &= X[:, k] > 0.0
         return inside
     if isinstance(domain, DisjointUnion):
-        inside = np.zeros(len(X), dtype=bool)
-        for comp in domain.components:
-            inside |= contains_batch(comp, X)
-        return inside
+        return _union_labels(domain, X) >= 0
     raise GeometryError(f"unknown domain type {type(domain).__name__}")
+
+
+def _union_labels(union, X):
+    """Index of the component that holds each point, -1 outside all of them."""
+    label = np.full(len(X), -1)
+    for i, comp in enumerate(union.components):
+        label[contains_batch(comp, X)] = i
+    return label
 
 
 def _metric_norm(metric, X):
@@ -434,8 +439,9 @@ def _euclid_ellipsoid(M, radius, X):
 # metric dispatch
 
 
-def _raw_distance_batch(domain, metric, X):
-    """Boundary distance and its gradient in `metric` at interior points X."""
+def _raw_distance_batch(domain, metric, X, label=None):
+    """Boundary distance and its gradient in `metric` at interior points X;
+    for a union, `label` may give each point's component (`_union_labels`)."""
     if not isinstance(metric, (Euclidean, L1, Mahalanobis)):
         raise GeometryError(f"unknown metric {type(metric).__name__}")
     L = metric.transform if isinstance(metric, Mahalanobis) else None
@@ -448,10 +454,12 @@ def _raw_distance_batch(domain, metric, X):
         raise UnsupportedPairingError(
             "L1 metric distance is implemented for Box and ConvexPolytope only")
     if isinstance(domain, DisjointUnion):
+        if label is None:
+            label = _union_labels(domain, X)
         g = np.full(len(X), np.inf)
         grad = np.zeros_like(X)
-        for comp in domain.components:
-            mask = contains_batch(comp, X)
+        for i, comp in enumerate(domain.components):
+            mask = label == i
             if np.any(mask):
                 g[mask], grad[mask] = _raw_distance_batch(comp, metric, X[mask])
         return g, grad
@@ -505,12 +513,14 @@ def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
     if isinstance(weight.metric, Mahalanobis) and len(weight.metric.sigma) != d:
         raise DimensionMismatchError(
             f"{len(weight.metric.sigma)}-dimensional metric on a {d}-dimensional domain")
-    inside = contains_batch(domain, X)
+    # a union's membership test labels each point with its component once
+    label = _union_labels(domain, X) if isinstance(domain, DisjointUnion) else None
+    inside = contains_batch(domain, X) if label is None else label >= 0
     if not np.all(inside):
         raise OutsideDomainError(f"point {int(np.argmin(inside))} is outside the domain")
     if weight.constant:
         return WeightTable(g=np.ones((n, d)), dg=np.zeros((n, d)), eval_count=1)
-    g, grad = _raw_distance_batch(domain, weight.metric, X)
+    g, grad = _raw_distance_batch(domain, weight.metric, X, label)
     if weight.cap is not None:
         c = weight.cap
         capped = c * g >= 1.0  # the kink itself takes the capped (zero-grad) branch

@@ -7,16 +7,32 @@ so the score-matching objective is quadratic and `estimator.fit` starts it at
 the closed-form minimizer.  For a flattened parameter vector theta the family
 exposes values and parameter vector-Jacobian products (VJPs):
   - logp_batch:       log density (untruncated normalizer) at each sample
-  - grad_logp_batch:  its parameter gradient at each sample
+  - grad_logp_batch:  VJP sum_n w_n grad_theta log p(x_n) for sample weights w
   - score_batch:      per-coordinate first and second input derivatives
-  - score_grad_batch: VJP of both with per-sample cotangents, summed over the
-                      samples in O(n K d)
+  - score_grad_batch: VJP of both with per-sample cotangents
 The normalizing constant over the truncation region is never evaluated.
+
+Every method reads one kernel pass.  With c the mean of the centres, Y = X - c
+and M = mu - c, |x - mu_j|^2 = |y|^2 - 2 y.m_j + |m_j|^2, so the log weights
+are one (n, d) x (d, K) product; |y|^2 enters only the log-sum-exp.  The
+pass returns Y, M, the responsibilities W and the log-sum-exp, and every
+derivative is a further (n, d) x (d, K) product: no (n, K, d) array is
+built.  Centring on the current centres keeps coordinates far from the
+origin (longitude/latitude near (-66, 42) with sigma2 = 0.0064) exact.
+
+Inside `memoized()` (which `estimator.fit` and the baselines' fits hold
+while their restarts run) the family keeps its last pass, keyed on the
+identity of X and the value of theta, so `grad_logp_batch` after
+`logp_batch`, and `score_grad_batch` after `score_batch`, at the same
+parameter and points reuse it.  The slot is emptied when the block exits;
+outside it every call makes its own pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +48,26 @@ def _softmax_lse(a):
     e = np.exp(a - amax)
     s = e.sum(axis=1, keepdims=True)
     return e / s, np.log(s[:, 0]) + amax[:, 0]
+
+
+class _Pass(NamedTuple):
+    Y: np.ndarray    # (n, d) points less the mean of the centres
+    M: np.ndarray    # (K, d) centres less the same point
+    W: np.ndarray    # (n, K) responsibilities
+    lse: np.ndarray  # (n,)   log sum_j exp(-|x - mu_j|^2 / (2 sigma2))
+
+
+def _kernel(mu, X, sigma2) -> _Pass:
+    """One pass over the points X for the (K, d) centres mu; read-only."""
+    c = mu.mean(axis=0)
+    Y = X - c
+    M = mu - c
+    W, lse = _softmax_lse((Y @ M.T - 0.5 * (M * M).sum(axis=1)) / sigma2)
+    lse -= 0.5 * np.einsum("nd,nd->n", Y, Y) / sigma2
+    out = _Pass(Y, M, W, lse)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -58,6 +94,7 @@ class IsotropicGMM:
         self.K = K
         self.sigma2 = float(sigma2)
         self.r = K * d
+        self._memo = None  # None: off; () empty; (X, theta, pass) inside memoized()
 
     def check_theta(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -65,56 +102,73 @@ class IsotropicGMM:
             raise ModelError(f"theta must be a finite vector of length {self.r}")
         return theta
 
-    def _log_weights(self, theta, X):
-        mu = theta.reshape(self.K, self.d)
-        diff = X[:, None, :] - mu[None, :, :]             # (n, K, d)
-        a = -0.5 * np.einsum("nkd,nkd->nk", diff, diff) / self.sigma2  # (n, K)
-        return a, diff
+    @contextlib.contextmanager
+    def memoized(self):
+        """Keep the last kernel pass while the block runs (see the module
+        docstring)."""
+        self._memo = ()
+        try:
+            yield
+        finally:
+            self._memo = None
+
+    def _pass(self, theta, X) -> _Pass:
+        theta = self.check_theta(theta)
+        X = np.asarray(X, dtype=float)
+        if self._memo is None:
+            return _kernel(theta.reshape(self.K, self.d), X, self.sigma2)
+        if self._memo and self._memo[0] is X and np.array_equal(self._memo[1], theta):
+            return self._memo[2]
+        self._memo = ()  # free the old pass before the new one is built
+        out = _kernel(theta.reshape(self.K, self.d), X, self.sigma2)
+        self._memo = (X, theta.copy(), out)
+        return out
 
     def responsibilities(self, theta, X):
-        theta = self.check_theta(theta)
-        a, _ = self._log_weights(theta, X)
-        return _softmax_lse(a)[0]
+        return self._pass(theta, X).W.copy()
 
     def logp_batch(self, theta, X):
-        theta = self.check_theta(theta)
-        a, _ = self._log_weights(theta, X)
         const = -0.5 * self.d * np.log(2.0 * np.pi * self.sigma2) - np.log(self.K)
-        return _softmax_lse(a)[1] + const
+        return self._pass(theta, X).lse + const
 
-    def grad_logp_batch(self, theta, X):
-        theta = self.check_theta(theta)
-        a, diff = self._log_weights(theta, X)
-        W = _softmax_lse(a)[0]
-        # d logp / d mu_{j,m} = w_j (x_m - mu_{j,m}) / sigma2
-        G = W[:, :, None] * diff / self.sigma2
-        return G.reshape(len(X), self.r)
-
-    def _score_terms(self, theta, X):
-        a, diff = self._log_weights(theta, X)
-        W = _softmax_lse(a)[0]
-        S = -diff / self.sigma2                       # (n, K, d): (mu - x)/sigma2
-        dl = np.einsum("nk,nkd->nd", W, S)
-        sq = np.einsum("nk,nkd->nd", W, S ** 2)
-        return W, S, dl, sq
+    def grad_logp_batch(self, theta, X, w):
+        """sum_n w_n grad_theta log p(x_n), as an (r,) vector."""
+        k = self._pass(theta, X)
+        w = np.asarray(w, dtype=float)
+        if w.shape != (len(k.Y),):
+            raise ModelError(f"w must be a vector of length {len(k.Y)}")
+        # d log p / d mu_j = W_j (x - mu_j) / sigma2 = W_j (y - m_j) / sigma2
+        Ww = k.W * w[:, None]
+        G = Ww.T @ k.Y - Ww.sum(axis=0)[:, None] * k.M
+        return (G / self.sigma2).reshape(self.r)
 
     def score_batch(self, theta, X):
-        theta = self.check_theta(theta)
-        _, _, dl, sq = self._score_terms(theta, X)
-        return dl, sq - dl ** 2 - 1.0 / self.sigma2
+        k = self._pass(theta, X)
+        s2 = self.sigma2
+        WM = k.W @ k.M
+        # dl = sum_j W_j (mu_j - x) / sigma2; d2l is the W-variance of the
+        # centres over sigma2^2, less 1 / sigma2
+        return (WM - k.Y) / s2, (k.W @ (k.M * k.M) - WM * WM) / s2 ** 2 - 1.0 / s2
 
     def score_grad_batch(self, theta, X, c_dl, c_d2l):
-        # d(dl_k)/d mu_jm = -w_j S_jm (S_jk - dl_k) + w_j delta_km / sigma2 and
-        # d(sq_k)/d mu_jm = -w_j S_jm (S_jk^2 - sq_k) + 2 w_j S_jk delta_km / sigma2;
-        # with b = c_dl - 2 c_d2l dl, u_j = sum_k b_k (S_jk - dl_k) + c_d2l_k (S_jk^2 - sq_k)
-        # the contraction is w_j [-S_jm u_j + (b_m + 2 S_jm c_d2l_m) / sigma2]
-        theta = self.check_theta(theta)
-        W, S, dl, sq = self._score_terms(theta, X)
-        b = c_dl - 2.0 * c_d2l * dl
-        u = (np.einsum("nkd,nd->nk", S, b) + np.einsum("nkd,nd->nk", S ** 2, c_d2l)
-             - ((b * dl) + (c_d2l * sq)).sum(axis=1)[:, None])
-        per = -S * u[:, :, None] + (b[:, None, :] + 2.0 * S * c_d2l[:, None, :]) / self.sigma2
-        return np.einsum("nk,nkd->kd", W, per).reshape(self.r)
+        # With S_j = (mu_j - x)/sigma2, the dense VJP is
+        # sum_n W_j [-S_jm u_j + (b_m + 2 S_jm c_d2l_m)/sigma2], b = c_dl - 2 c_d2l dl,
+        # u_j = sum_k b_k (S_jk - dl_k) + c_d2l_k (S_jk^2 - sq_k), sq = sum_j W_j S_j^2.
+        # In y and m, dl = ((WM) - y)/sigma2 and S_jk - dl_k = (m_jk - (WM)_k)/sigma2;
+        # the y terms of S_jk^2 - sq_k and of 2 S c_d2l join b as
+        # e = b - 2 c_d2l y/sigma2 = c_dl - 2 c_d2l (WM)/sigma2, which leaves
+        # (n, d) x (d, K) products only.
+        k = self._pass(theta, X)
+        s2 = self.sigma2
+        W, M = k.W, k.M
+        M2 = M * M
+        WM, WM2 = W @ M, W @ M2
+        e = c_dl - (2.0 / s2) * c_d2l * WM
+        u = (e @ M.T + (c_d2l @ M2.T) / s2
+             - ((e * WM).sum(axis=1) + (c_d2l * WM2).sum(axis=1) / s2)[:, None]) / s2
+        Wu = W * u
+        G = Wu.T @ k.Y - Wu.sum(axis=0)[:, None] * M + W.T @ e + (2.0 / s2) * M * (W.T @ c_d2l)
+        return (G / s2).reshape(self.r)
 
     def sample(self, theta, n, rng):
         theta = self.check_theta(theta)

@@ -147,19 +147,48 @@ def brute_ellipsoid_distance(M, radius, x, rng, n_samples=200_000, rounds=60):
     return best
 
 
+def _dense_mixture(family, theta, X):
+    """Responsibilities (n, K), log-sum-exp (n,) and differences x - mu_j
+    (n, K, d) of an isotropic mixture, from the differences themselves."""
+    theta = np.asarray(theta, dtype=float)
+    X = np.asarray(X, dtype=float)
+    diff = X[:, None, :] - theta.reshape(family.K, X.shape[1])[None, :, :]
+    a = -0.5 * (diff ** 2).sum(axis=2) / family.sigma2
+    amax = a.max(axis=1, keepdims=True)
+    e = np.exp(a - amax)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, np.log(s[:, 0]) + amax[:, 0], diff
+
+
+def dense_logp(family, theta, X):
+    """log p (n,) and its per-sample theta-gradient (n, r), from the (n, K, d)
+    differences: the reference for logp_batch and grad_logp_batch."""
+    W, lse, diff = _dense_mixture(family, theta, X)
+    d = diff.shape[2]
+    lp = lse - 0.5 * d * np.log(2.0 * np.pi * family.sigma2) - np.log(family.K)
+    # d log p / d mu_j = W_j (x - mu_j) / sigma2
+    return lp, (W[:, :, None] * diff / family.sigma2).reshape(len(diff), family.r)
+
+
+def dense_score(family, theta, X):
+    """dl and d2l (n, d) from the (n, K, d) differences."""
+    W, _, diff = _dense_mixture(family, theta, X)
+    S = -diff / family.sigma2
+    dl = np.einsum("nk,nkd->nd", W, S)
+    return dl, np.einsum("nk,nkd->nd", W, S ** 2) - dl ** 2 - 1.0 / family.sigma2
+
+
 def dense_score_jacobians(family, theta, X):
     """Per-sample (n, r, d) theta-Jacobians of dl and d2l, materialized in full.
 
-    Reference for the families' O(n K d) vector-Jacobian products: contracting
-    these with per-sample cotangents must give score_grad_batch.
+    Reference for the family's vector-Jacobian products: contracting these
+    with per-sample cotangents must give score_grad_batch.
     """
-    theta = np.asarray(theta, dtype=float)
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
+    W, _, diff = _dense_mixture(family, theta, X)
+    n, _, d = diff.shape
     eye = np.eye(d)
     s2 = family.sigma2
-    W = family.responsibilities(theta, X)                       # (n, K)
-    S = (theta.reshape(family.K, d)[None, :, :] - X[:, None, :]) / s2
+    S = -diff / s2
     dl = np.einsum("nk,nkd->nd", W, S)
     sq = np.einsum("nk,nkd->nd", W, S ** 2)
     # d(dl_k)/d mu_{j,m} = -w_j S_{j,m} (S_{j,k} - dl_k) + w_j delta_{km}/sigma2

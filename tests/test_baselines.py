@@ -24,8 +24,8 @@ class _Const1D:
     def logp_batch(self, theta, X):
         return np.zeros(len(X))
 
-    def grad_logp_batch(self, theta, X):
-        return np.zeros((len(X), 1))
+    def grad_logp_batch(self, theta, X, w):
+        return np.zeros(1)
 
 
 class _Exp1D:
@@ -37,8 +37,8 @@ class _Exp1D:
     def logp_batch(self, theta, X):
         return theta[0] * X[:, 0]
 
-    def grad_logp_batch(self, theta, X):
-        return X[:, :1]
+    def grad_logp_batch(self, theta, X, w):
+        return w @ X[:, :1]
 
 
 def test_log_z_uniform_exact():

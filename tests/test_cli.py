@@ -246,3 +246,33 @@ def test_unknown_method_fails_before_any_fit(tmp_path, monkeypatch, capsys, path
     assert "unknown method 'foo'" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("driver, option, args", [
+    ("gmm-polygon", "--n", ["--seeds", "0", "--n", "100,200"]),
+    ("capped-scaling", "--n", ["--seeds", "0", "--n", "100,200"]),
+    ("l1-vs-l2", "--n", ["--seeds", "0", "--n", "100,200"]),
+    ("chicago", "--n", ["--seeds", "0", "--n", "100,200"]),
+    ("identity-check", "--n", ["--seeds", "0", "--n", "100,200"]),
+    # the points-file path of chicago
+    ("chicago", "--seeds", ["--seeds", "0,1", "--sigma", "0.1"]),
+    ("chicago", "--sigma", ["--seeds", "0", "--sigma", "0.1,0.2"]),
+    ("chicago", "--particles", ["--seeds", "0", "--sigma", "0.1", "--particles", "1000,2000"]),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_grid_a_driver_ignores_fails_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                     driver, option, args):
+    from truncsm import baselines, estimator
+
+    calls = []
+    for owner, name in ((estimator, "fit"), (estimator, "ibp_identity_check"),
+                        (baselines, "fit_rjmle"), (baselines, "fit_mle_untruncated")):
+        monkeypatch.setattr(owner, name, lambda *a, _n=name, **k: calls.append(_n))
+    if "--sigma" in args:
+        csv, poly = city_files(tmp_path)
+        args = args + ["--points-file", str(csv), "--domain-file", str(poly)]
+    out = tmp_path / "o.csv"
+    rc = main(["--experiment", driver] + args + ["--out", str(out)])
+    assert rc == 1
+    assert f"{driver} takes one {option} value" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -618,6 +618,26 @@ def test_template_domain_disjoint_distance():
     assert np.allclose(np.linalg.norm(grad), 1.0)
 
 
+@pytest.mark.parametrize("b", [0.5, 4.0])
+def test_union_weights_test_membership_once(b, monkeypatch):
+    dom = template_domain("disjoint", b)
+    X = interior_points(dom, 2000, seed=1)
+    seen = []
+    contains = geometry.contains_batch
+    monkeypatch.setattr(geometry, "contains_batch",
+                        lambda D, P: seen.append(D) or contains(D, P))
+    maha = WeightSpec(metric=Mahalanobis([[1.0, 0.3], [0.3, 1.0]]))
+    for spec in (EUCL, WeightSpec(cap=2.0), maha):
+        seen.clear()
+        table = distance_batch(dom, spec, X)
+        assert seen == list(dom.components)  # one membership test per component
+        # each point's weight is its own component's, bit for bit
+        for comp in dom.components:
+            m = contains(comp, X)
+            part = distance_batch(comp, spec, X[m])
+            assert np.array_equal(table.g[m], part.g) and np.array_equal(table.dg[m], part.dg)
+
+
 def test_load_polygon_roundtrip(tmp_path):
     p = tmp_path / "poly.txt"
     p.write_text("0,0\n1,0\n0,1\n")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_score_jacobians
+from oracles import dense_logp, dense_score, dense_score_jacobians
+from truncsm import baselines, data, estimator, geometry, models, presets
 from truncsm.models import (
     GaussianMean,
     IsotropicGMM,
@@ -175,3 +176,124 @@ def test_sampling_moments(rng):
     X = gmm.sample(theta, 40_000, rng)
     # equal weights: the mean of the mixture is the mean of the centers
     assert np.allclose(X.mean(axis=0), [0.0, 0.0], atol=0.05)
+
+
+def _rel(approx, exact):
+    return np.abs(approx - exact).max() / np.abs(exact).max()
+
+
+# unit spread at the origin; longitude/latitude scale (-66, 42) with
+# sigma2 = 0.0064; spread 20
+SCALES = {"unit": (0.0, 1.0, 1.0), "chicago": (np.array([-66.0, 42.0]), 0.08, 0.0064),
+          "spread20": (0.0, 20.0, 1.0)}
+
+
+@pytest.mark.parametrize("K, d", [(1, 2), (4, 2), (3, 8), (1, 8)])
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_kernel_matches_dense_oracles(scale, K, d):
+    # values agree to 1e-12 and VJPs to 1e-10, relative to the largest entry
+    offset, spread, s2 = SCALES[scale]
+    rng = np.random.default_rng(K * 10 + d)
+    fam = IsotropicGMM(d=d, K=K, sigma2=s2)
+    offset = np.resize(offset, d)
+    theta = (offset + spread * rng.standard_normal((K, d))).reshape(-1)
+    n = 2000
+    X = offset + 1.5 * spread * rng.standard_normal((n, d))
+    c_dl, c_d2l = rng.standard_normal((2, n, d))
+    w = rng.random(n)
+
+    lp, G = dense_logp(fam, theta, X)
+    assert _rel(fam.logp_batch(theta, X), lp) <= 1e-12
+    assert _rel(fam.grad_logp_batch(theta, X, w), w @ G) <= 1e-10
+    for got, want in zip(fam.score_batch(theta, X), dense_score(fam, theta, X)):
+        assert _rel(got, want) <= 1e-12
+    grad_dl, grad_d2l = dense_score_jacobians(fam, theta, X)
+    dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + np.einsum("nd,nrd->r", c_d2l, grad_d2l)
+    assert _rel(fam.score_grad_batch(theta, X, c_dl, c_d2l), dense) <= 1e-10
+
+
+def test_grad_logp_batch_checks_weight_length():
+    fam = IsotropicGMM(d=2, K=2)
+    with pytest.raises(ModelError):
+        fam.grad_logp_batch(np.zeros(4), np.zeros((3, 2)), np.ones(2))
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Counts the family's kernel passes."""
+    calls = []
+    kernel = models._kernel
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(models, "_kernel", counted)
+    return calls
+
+
+def _mixture_data(n=300, seed=0):
+    fam = IsotropicGMM(d=2, K=4, sigma2=1.0)
+    ds = data.sample_truncated(fam, presets.GMM_TRUE_CENTERS.reshape(-1),
+                               presets.default_polygon(), n, seed)
+    return fam, ds
+
+
+def test_one_kernel_pass_per_score_matching_evaluation(kernel_passes, monkeypatch):
+    fam, ds = _mixture_data()
+    evals = []
+    objective_and_grad = estimator.objective_and_grad
+    monkeypatch.setattr(estimator, "objective_and_grad",
+                        lambda *a: evals.append(None) or objective_and_grad(*a))
+    rep = estimator.fit(fam, ds, presets.default_polygon(), geometry.WeightSpec(),
+                        estimator.FitOptions(restarts=2, seed=0, init_style="kmeans++"))
+    assert len(evals) == sum(r.n_evals for r in rep.restarts) > 2
+    assert len(kernel_passes) == len(evals)
+    assert fam._memo is None
+
+
+def test_two_kernel_passes_per_rjmle_evaluation(kernel_passes):
+    fam, ds = _mixture_data()
+    rep = baselines.fit_rjmle(fam, ds, presets.default_polygon(), 2000,
+                              estimator.FitOptions(restarts=2, seed=0))
+    # the inside particles, then the data
+    assert len(kernel_passes) == 2 * rep.normalizer_eval_count > 2
+    assert fam._memo is None
+
+
+def test_no_kernel_outlives_a_failed_fit(monkeypatch):
+    fam, ds = _mixture_data()
+
+    def fail(fg, theta0, **kw):
+        fg(theta0)  # fills the memo, then the solver fails
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(estimator, "minimize_qn", fail)
+    with pytest.raises(RuntimeError):
+        estimator.fit(fam, ds, presets.default_polygon(), geometry.WeightSpec())
+    assert fam._memo is None
+
+
+def test_no_memo_outside_a_fit(kernel_passes):
+    fam = IsotropicGMM(d=2, K=3, sigma2=0.5)
+    theta = np.arange(6.0)
+    X = np.random.default_rng(0).standard_normal((50, 2))
+    first = fam.logp_batch(theta, X)
+    X += 1.0  # same object, new values
+    assert np.array_equal(fam.logp_batch(theta, X), fam.logp_batch(theta, X.copy()))
+    assert not np.allclose(fam.logp_batch(theta, X), first)
+    assert len(kernel_passes) == 4
+
+
+def test_memo_keys_on_theta_value_and_points_identity(kernel_passes):
+    fam = IsotropicGMM(d=2, K=2)
+    theta = np.array([0.0, 0.0, 1.0, 1.0])
+    X = np.random.default_rng(1).standard_normal((20, 2))
+    with fam.memoized():
+        lp = fam.logp_batch(theta, X)
+        fam.grad_logp_batch(theta.copy(), X, np.ones(20))     # equal value: reused
+        fam.logp_batch(theta, X.copy())                       # other points: new pass
+        fam.logp_batch(theta + 1e-12, X)                      # other theta: new pass
+        assert np.array_equal(fam.logp_batch(theta, X), lp)   # new pass, same value
+    assert len(kernel_passes) == 4
+    assert fam._memo is None
