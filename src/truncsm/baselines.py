@@ -47,9 +47,9 @@ def estimate_log_z(family, theta, est: NormalizerEstimate):
     from one pass over the inside particles, stabilized in log space."""
     est.eval_count += 1
     lp = family.logp_batch(theta, est.inside)
-    w, lse = _softmax_lse(lp[None, :])
+    w, lse = _softmax_lse(lp[:, None])
     log_z = float(np.log(est.box_volume) + lse[0] - np.log(len(est.particles)))
-    return log_z, family.grad_logp_batch(theta, est.inside, w[0])
+    return log_z, family.grad_logp_batch(theta, est.inside, w[:, 0])
 
 
 def _grad_log_z(family, theta, est: NormalizerEstimate) -> np.ndarray:
@@ -107,9 +107,9 @@ def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int) -> Minimiz
     it, status = 0, MAX_ITERATIONS
     while status != CONVERGED and it < max_iters:
         it += 1
-        R = family.responsibilities(theta, X)      # (n, K)
-        Nk = R.sum(axis=0)
-        mu = (R.T @ X) / np.where(Nk > 0, Nk, 1.0)[:, None]
+        R = family._pass(theta, X).W               # (K, n)
+        Nk = R.sum(axis=1)
+        mu = (R @ X) / np.where(Nk > 0, Nk, 1.0)[:, None]
         # keep empty components where they were
         old = theta.reshape(family.K, family.d)
         mu = np.where((Nk > 0)[:, None], mu, old)

@@ -136,12 +136,14 @@ def read_dataset(path) -> Dataset:
     return Dataset(points=pts, meta=meta)
 
 
-def sample_gaussian_in_l1_hemiball(mean, n_keep: int, seed: int) -> Dataset:
+def sample_gaussian_in_l1_hemiball(mean, n_keep: int, seed: int,
+                                   max_batches: int = 10000) -> Dataset:
     """Exact draws from N(mean, I) truncated to {||x||_1 < 1, x_d > 0}.
 
     Rejection with a uniform proposal on the hemi-ball; direct rejection from
     the Gaussian is hopeless in higher dimensions because the retention rate
-    collapses.
+    collapses.  A mean far from the domain accepts almost nothing, so at most
+    max_batches proposal batches are drawn.
     """
     mean = np.asarray(mean, dtype=float)
     d = mean.size
@@ -153,7 +155,7 @@ def sample_gaussian_in_l1_hemiball(mean, n_keep: int, seed: int) -> Dataset:
     total = 0
     generated = 0
     batch = max(4 * n_keep, 1000)
-    while total < n_keep:
+    for _ in range(max_batches):
         U = _uniform_l1_ball(d, batch, rng)
         U[:, -1] = np.abs(U[:, -1])  # fold onto x_d > 0, still uniform
         generated += batch
@@ -164,6 +166,11 @@ def sample_gaussian_in_l1_hemiball(mean, n_keep: int, seed: int) -> Dataset:
         if mask.any():
             kept.append(U[mask])
             total += int(mask.sum())
+        if total >= n_keep:
+            break
+    else:
+        raise DataError(f"acceptance rate {total / generated:.3g} too low to collect "
+                        f"{n_keep} points in {max_batches} batches of {batch}")
     pts = np.concatenate(kept)[:n_keep]
     meta = {"seed": seed, "generator": "gaussian_l1_hemiball",
             "n_generated": generated, "n_kept": n_keep}

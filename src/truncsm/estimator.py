@@ -59,11 +59,11 @@ def objective_and_grad(family, theta, X, weights: WeightTable):
     """Objective and its theta-gradient from one score pass and one VJP."""
     X = _check_shapes(X, weights)
     dl, d2l = family.score_batch(theta, X)
-    m = ((dl * dl + 2.0 * d2l) * weights.g).sum(axis=1) + (2.0 * dl * weights.dg).sum(axis=1)
+    m_sum = ((dl * dl + 2.0 * d2l) * weights.g + 2.0 * dl * weights.dg).sum()
     # dm/d(dl) = 2 (dl g + dg) and dm/d(d2l) = 2 g, per sample and coordinate
     grad = family.score_grad_batch(theta, X, 2.0 * (dl * weights.g + weights.dg),
                                    2.0 * weights.g)
-    return float(m.sum() / len(X)), grad / len(X)
+    return float(m_sum / len(X)), grad / len(X)
 
 
 def objective(family, theta, X, weights: WeightTable) -> float:
@@ -78,8 +78,9 @@ def kmeanspp_init(X, K, rng):
     """Spread K initial centers over the data (k-means++ seeding)."""
     n = len(X)
     centers = [X[rng.integers(n)]]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest chosen center
     for _ in range(K - 1):
-        d2 = np.min([((X - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        d2 = np.minimum(d2, ((X - centers[-1]) ** 2).sum(axis=1))
         p = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers.append(X[rng.choice(n, p=p)])
     return np.concatenate(centers)

@@ -272,15 +272,8 @@ def run_l1_vs_l2(cfg: ExperimentConfig):
     return write_results(cfg, rows, timings)
 
 
-def run_chicago(cfg: ExperimentConfig):
-    """Two-component mixture on city-style point data, or the synthetic
-    western-truncation stand-in when no points file is supplied."""
-    if cfg.points_file:
-        return _chicago_real(cfg)
-    return _chicago_synthetic(cfg)
-
-
 def _chicago_real(cfg: ExperimentConfig):
+    """Two-component mixture on city-style point data from --points-file."""
     if not cfg.domain_file:
         raise ExperimentError("chicago needs --domain-file with the boundary polygon")
     sigma = _single(cfg, "sigma", None, "chicago")
@@ -328,7 +321,8 @@ def _chicago_real(cfg: ExperimentConfig):
 
 
 def _chicago_synthetic(cfg: ExperimentConfig):
-    """Western half-plane truncation stand-in for the qualitative effect."""
+    """Western half-plane truncation stand-in for the chicago experiment's
+    qualitative effect, run when no points file is supplied."""
     theta_true = np.array([-0.5, 0.0])
     domain = geometry.Box(np.array([0.0, -3.0]), np.array([6.0, 3.0]))
     family = models.GaussianMean(2)
@@ -375,17 +369,29 @@ def run_identity_check(cfg: ExperimentConfig):
     return write_results(cfg, rows, timings)
 
 
+# Each experiment's driver and the options it reads; `run` rejects any other
+# option that is given.  chicago has two drivers: the real-data one when
+# --points-file is given, otherwise the synthetic stand-in.
 DRIVERS = {
-    "gmm-polygon": run_gmm_polygon,
-    "maha-vs-euclid": run_maha_vs_euclid,
-    "capped-scaling": run_capped_scaling,
-    "l1-vs-l2": run_l1_vs_l2,
-    "chicago": run_chicago,
-    "identity-check": run_identity_check,
+    "gmm-polygon": (run_gmm_polygon,
+                    {"seeds", "n", "methods", "particles", "restarts", "domain_file"}),
+    "maha-vs-euclid": (run_maha_vs_euclid, {"seeds", "n", "sigma"}),
+    "capped-scaling": (run_capped_scaling, {"seeds", "n", "cap", "b_grid"}),
+    "l1-vs-l2": (run_l1_vs_l2, {"seeds", "n", "d_grid"}),
+    "chicago": (_chicago_synthetic, {"seeds", "n", "methods"}),
+    "identity-check": (run_identity_check, {"seeds", "n"}),
 }
+CHICAGO_REAL = (_chicago_real, {"seeds", "methods", "particles", "restarts",
+                                "domain_file", "points_file", "sigma"})
 
 
 def run(cfg: ExperimentConfig):
     if cfg.experiment not in DRIVERS:
         raise ExperimentError(f"unknown experiment {cfg.experiment!r}")
-    return DRIVERS[cfg.experiment](cfg)
+    driver, reads = CHICAGO_REAL if cfg.experiment == "chicago" and cfg.points_file \
+        else DRIVERS[cfg.experiment]
+    for option, value in cfg.as_dict().items():
+        if option not in reads | {"experiment", "out"} and value not in (None, []):
+            flag = "--method" if option == "methods" else "--" + option.replace("_", "-")
+            raise ExperimentError(f"{cfg.experiment} does not read {flag}")
+    return driver(cfg)

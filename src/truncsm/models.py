@@ -12,13 +12,18 @@ exposes values and parameter vector-Jacobian products (VJPs):
   - score_grad_batch: VJP of both with per-sample cotangents
 The normalizing constant over the truncation region is never evaluated.
 
-Every method reads one kernel pass.  With c the mean of the centres, Y = X - c
-and M = mu - c, |x - mu_j|^2 = |y|^2 - 2 y.m_j + |m_j|^2, so the log weights
-are one (n, d) x (d, K) product; |y|^2 enters only the log-sum-exp.  The
-pass returns Y, M, the responsibilities W and the log-sum-exp, and every
-derivative is a further (n, d) x (d, K) product: no (n, K, d) array is
-built.  Centring on the current centres keeps coordinates far from the
-origin (longitude/latitude near (-66, 42) with sigma2 = 0.0064) exact.
+Every method reads one kernel pass, laid out feature-major so that every
+reduction runs along contiguous memory.  With c the mean of the centres,
+Yt = X^T - c (d, n) and M = mu - c (K, d), |x - mu_j|^2 = |y|^2 - 2 m_j.y
++ |m_j|^2, so the log weights are the one (K, d) x (d, n) product
+(M Yt - |m|^2 / 2) / sigma2; |y|^2 enters only the log-sum-exp.  The pass
+returns Yt, M, the (K, n) responsibilities W and the log-sum-exp, whose max,
+exp, sum and log run over axis 0, and every derivative is a further
+(d, K) x (K, n) product: no (n, K, d) array is built.  The public shapes
+stay point-major: score_batch returns (n, d) (transposed views) and
+responsibilities an (n, K) copy.  Centring on the current centres keeps
+coordinates far from the origin (longitude/latitude near (-66, 42) with
+sigma2 = 0.0064) exact.
 
 Inside `memoized()` (which `estimator.fit` and the baselines' fits hold
 while their restarts run) the family keeps its last pass, keyed on the
@@ -42,29 +47,29 @@ class ModelError(ValueError):
 
 
 def _softmax_lse(a):
-    """Row-wise softmax and log-sum-exp of an (n, K) array, shifted by the
-    row maximum so neither overflows."""
-    amax = a.max(axis=1, keepdims=True)
+    """Softmax and log-sum-exp over axis 0 of a (K, n) array, shifted by the
+    column maximum so neither overflows."""
+    amax = a.max(axis=0)
     e = np.exp(a - amax)
-    s = e.sum(axis=1, keepdims=True)
-    return e / s, np.log(s[:, 0]) + amax[:, 0]
+    s = e.sum(axis=0)
+    return e / s, np.log(s) + amax
 
 
 class _Pass(NamedTuple):
-    Y: np.ndarray    # (n, d) points less the mean of the centres
+    Yt: np.ndarray   # (d, n) points less the mean of the centres, transposed
     M: np.ndarray    # (K, d) centres less the same point
-    W: np.ndarray    # (n, K) responsibilities
+    W: np.ndarray    # (K, n) responsibilities
     lse: np.ndarray  # (n,)   log sum_j exp(-|x - mu_j|^2 / (2 sigma2))
 
 
 def _kernel(mu, X, sigma2) -> _Pass:
-    """One pass over the points X for the (K, d) centres mu; read-only."""
+    """One pass over the (n, d) points X for the (K, d) centres mu; read-only."""
     c = mu.mean(axis=0)
-    Y = X - c
+    Yt = np.subtract(X.T, c[:, None], order="C")
     M = mu - c
-    W, lse = _softmax_lse((Y @ M.T - 0.5 * (M * M).sum(axis=1)) / sigma2)
-    lse -= 0.5 * np.einsum("nd,nd->n", Y, Y) / sigma2
-    out = _Pass(Y, M, W, lse)
+    W, lse = _softmax_lse((M @ Yt - 0.5 * (M * M).sum(axis=1)[:, None]) / sigma2)
+    lse -= 0.5 * np.einsum("dn,dn->n", Yt, Yt) / sigma2
+    out = _Pass(Yt, M, W, lse)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -125,7 +130,8 @@ class IsotropicGMM:
         return out
 
     def responsibilities(self, theta, X):
-        return self._pass(theta, X).W.copy()
+        """(n, K) responsibilities, a C-contiguous copy."""
+        return self._pass(theta, X).W.T.copy()
 
     def logp_batch(self, theta, X):
         const = -0.5 * self.d * np.log(2.0 * np.pi * self.sigma2) - np.log(self.K)
@@ -135,20 +141,23 @@ class IsotropicGMM:
         """sum_n w_n grad_theta log p(x_n), as an (r,) vector."""
         k = self._pass(theta, X)
         w = np.asarray(w, dtype=float)
-        if w.shape != (len(k.Y),):
-            raise ModelError(f"w must be a vector of length {len(k.Y)}")
+        if w.shape != k.lse.shape:
+            raise ModelError(f"w must be a vector of length {len(k.lse)}")
         # d log p / d mu_j = W_j (x - mu_j) / sigma2 = W_j (y - m_j) / sigma2
-        Ww = k.W * w[:, None]
-        G = Ww.T @ k.Y - Ww.sum(axis=0)[:, None] * k.M
+        Ww = k.W * w
+        G = Ww @ k.Yt.T - Ww.sum(axis=1)[:, None] * k.M
         return (G / self.sigma2).reshape(self.r)
 
     def score_batch(self, theta, X):
+        """dl and d2l, each (n, d): transposed views of (d, n) arrays."""
         k = self._pass(theta, X)
         s2 = self.sigma2
-        WM = k.W @ k.M
+        WM = k.M.T @ k.W
         # dl = sum_j W_j (mu_j - x) / sigma2; d2l is the W-variance of the
         # centres over sigma2^2, less 1 / sigma2
-        return (WM - k.Y) / s2, (k.W @ (k.M * k.M) - WM * WM) / s2 ** 2 - 1.0 / s2
+        dl = (WM - k.Yt) / s2
+        d2l = ((k.M * k.M).T @ k.W - WM * WM) / s2 ** 2 - 1.0 / s2
+        return dl.T, d2l.T
 
     def score_grad_batch(self, theta, X, c_dl, c_d2l):
         # With S_j = (mu_j - x)/sigma2, the dense VJP is
@@ -157,17 +166,20 @@ class IsotropicGMM:
         # In y and m, dl = ((WM) - y)/sigma2 and S_jk - dl_k = (m_jk - (WM)_k)/sigma2;
         # the y terms of S_jk^2 - sq_k and of 2 S c_d2l join b as
         # e = b - 2 c_d2l y/sigma2 = c_dl - 2 c_d2l (WM)/sigma2, which leaves
-        # (n, d) x (d, K) products only.
+        # (K, d) x (d, n) products only.  Everything below is feature-major:
+        # Ct and Dt are the (d, n) cotangents, WM and e are (d, n), u is (K, n).
         k = self._pass(theta, X)
         s2 = self.sigma2
         W, M = k.W, k.M
         M2 = M * M
-        WM, WM2 = W @ M, W @ M2
-        e = c_dl - (2.0 / s2) * c_d2l * WM
-        u = (e @ M.T + (c_d2l @ M2.T) / s2
-             - ((e * WM).sum(axis=1) + (c_d2l * WM2).sum(axis=1) / s2)[:, None]) / s2
+        Ct = np.asarray(c_dl, dtype=float).T
+        Dt = np.asarray(c_d2l, dtype=float).T
+        WM, WM2 = M.T @ W, M2.T @ W
+        e = Ct - (2.0 / s2) * Dt * WM
+        u = (M @ e + (M2 @ Dt) / s2
+             - ((e * WM).sum(axis=0) + (Dt * WM2).sum(axis=0) / s2)) / s2
         Wu = W * u
-        G = Wu.T @ k.Y - Wu.sum(axis=0)[:, None] * M + W.T @ e + (2.0 / s2) * M * (W.T @ c_d2l)
+        G = Wu @ k.Yt.T - Wu.sum(axis=1)[:, None] * M + W @ e.T + (2.0 / s2) * M * (W @ Dt.T)
         return (G / s2).reshape(self.r)
 
     def sample(self, theta, n, rng):

@@ -24,8 +24,13 @@ def polygon_boundary_samples(vertices, n_samples):
 
 
 def brute_polygon_distance(vertices, x, n_samples=100_000):
+    """Distance from the point x, or from each row of an (m, d) array x, to the
+    sampled boundary; the samples are built once per call, so pass every
+    point of a polygon in one call."""
     B = polygon_boundary_samples(vertices, n_samples)
-    return float(np.linalg.norm(B - np.asarray(x), axis=1).min())
+    x = np.asarray(x, dtype=float)
+    dist = [float(np.linalg.norm(B - p, axis=1).min()) for p in np.atleast_2d(x)]
+    return dist[0] if x.ndim == 1 else np.array(dist)
 
 
 def polytope_facet_samples(A, b, rng, n_per_facet):

@@ -239,7 +239,8 @@ def test_unknown_method_fails_before_any_fit(tmp_path, monkeypatch, capsys, path
         args = ["--experiment", "gmm-polygon", "--seeds", "0", "--n", "500"]
     elif path == "real":
         csv, poly = city_files(tmp_path)
-        args += ["--points-file", str(csv), "--domain-file", str(poly), "--sigma", "0.1"]
+        args = ["--experiment", "chicago", "--seeds", "0", "--points-file", str(csv),
+                "--domain-file", str(poly), "--sigma", "0.1"]
     out = tmp_path / "o.csv"
     rc = main(args + ["--method", "truncsm,foo", "--out", str(out)])
     assert rc == 1
@@ -274,5 +275,32 @@ def test_grid_a_driver_ignores_fails_before_any_fit(tmp_path, monkeypatch, capsy
     rc = main(["--experiment", driver] + args + ["--out", str(out)])
     assert rc == 1
     assert f"{driver} takes one {option} value" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, unread, real", [
+    (["identity-check", "--n", "1000", "--seeds", "0", "--cap", "5", "--b-grid", "2",
+      "--d-grid", "3", "--particles", "7"], "--cap", False),
+    (["maha-vs-euclid", "--seeds", "0", "--restarts", "3"], "--restarts", False),
+    (["l1-vs-l2", "--seeds", "0", "--method", "mle"], "--method", False),
+    (["chicago", "--seeds", "0", "--sigma", "0.1"], "--sigma", False),
+    (["chicago", "--seeds", "0", "--sigma", "0.1", "--n", "200"], "--n", True),
+], ids=["identity-check", "maha-vs-euclid", "l1-vs-l2", "chicago", "chicago-real"])
+def test_option_a_driver_does_not_read_fails_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                            args, unread, real):
+    from truncsm import baselines, data, estimator
+
+    calls = []
+    for owner, name in ((estimator, "fit"), (estimator, "ibp_identity_check"),
+                        (baselines, "fit_rjmle"), (baselines, "fit_mle_untruncated"),
+                        (data, "sample_truncated_n")):
+        monkeypatch.setattr(owner, name, lambda *a, _n=name, **k: calls.append(_n))
+    if real:
+        csv, poly = city_files(tmp_path)
+        args = args + ["--points-file", str(csv), "--domain-file", str(poly)]
+    out = tmp_path / "o.csv"
+    assert main(["--experiment"] + args + ["--out", str(out)]) == 1
+    assert f"{args[0]} does not read {unread}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()

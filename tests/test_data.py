@@ -123,6 +123,11 @@ def test_hemiball_sampler_inside_and_deterministic():
         assert np.array_equal(ds.points, again.points)
 
 
+def test_hemiball_sampler_is_bounded_for_a_far_mean():
+    with pytest.raises(DataError, match=r"acceptance rate .* in 3 batches of 1000"):
+        sample_gaussian_in_l1_hemiball(np.full(2, 1e6), 10, seed=0, max_batches=3)
+
+
 def test_hemiball_sampler_matches_direct_rejection():
     # at d=2 direct rejection from the Gaussian is feasible; compare moments
     d = 2

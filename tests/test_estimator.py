@@ -181,6 +181,25 @@ def test_unknown_init_style_is_an_error(rng):
             FitOptions(init_style="kmeans"))
 
 
+@pytest.mark.parametrize("K", [2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeanspp_running_minimum_matches_list_minimum(K, seed):
+    X = np.random.default_rng(100 + seed).standard_normal((500, 2))
+
+    def list_min(rng):
+        centers = [X[rng.integers(len(X))]]
+        for _ in range(K - 1):
+            d2 = np.min([((X - c) ** 2).sum(axis=1) for c in centers], axis=0)
+            centers.append(X[rng.choice(len(X), p=d2 / d2.sum())])
+        return np.concatenate(centers)
+
+    rng = np.random.default_rng(seed)
+    got = estimator.kmeanspp_init(X, K, rng)
+    ref_rng = np.random.default_rng(seed)
+    assert np.array_equal(got, list_min(ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_fit_empty_dataset():
     with pytest.raises(EstimatorError):
         fit(GaussianMean(2), np.empty((0, 2)), unit_square(), EUCL)

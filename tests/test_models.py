@@ -99,6 +99,7 @@ def test_gmm_responsibilities_sum_to_one(rng):
     theta = 3 * rng.standard_normal(12)
     X = 5 * rng.standard_normal((50, 3))
     W = gmm.responsibilities(theta, X)
+    assert W.shape == (50, 4) and W.flags.c_contiguous
     assert np.allclose(W.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -210,6 +211,31 @@ def test_kernel_matches_dense_oracles(scale, K, d):
     grad_dl, grad_d2l = dense_score_jacobians(fam, theta, X)
     dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + np.einsum("nd,nrd->r", c_d2l, grad_d2l)
     assert _rel(fam.score_grad_batch(theta, X, c_dl, c_d2l), dense) <= 1e-10
+
+
+@pytest.mark.parametrize("K, d", [(1, 2), (4, 2), (3, 8)])
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_estimate_log_z_matches_dense_log_mean_exp(scale, K, d):
+    # log Zhat = log(volume) + log mean over all particles of mask * pbar, and
+    # its gradient the softmax-weighted mean of the inside particles' gradients
+    offset, spread, s2 = SCALES[scale]
+    rng = np.random.default_rng(K * 10 + d + 1)
+    fam = IsotropicGMM(d=d, K=K, sigma2=s2)
+    offset = np.resize(offset, d)
+    theta = (offset + spread * rng.standard_normal((K, d))).reshape(-1)
+    U = offset + 1.5 * spread * rng.standard_normal((3000, d))
+    mask = rng.random(len(U)) < 0.6
+    est = baselines.NormalizerEstimate(particles=U, in_domain_mask=mask,
+                                       inside=U[mask], box_volume=7.0)
+    log_z, grad = baselines.estimate_log_z(fam, theta, est)
+
+    lp, G = dense_logp(fam, theta, U[mask])
+    top = lp.max()
+    terms = np.exp(lp - top)
+    want = np.log(7.0) + top + np.log(terms.sum()) - np.log(len(U))
+    # log-sum-exp rounds relative to the size of its terms
+    assert abs(log_z - want) <= 1e-12 * np.abs(lp).max()
+    assert _rel(grad, (terms / terms.sum()) @ G) <= 1e-10
 
 
 def test_grad_logp_batch_checks_weight_length():
