@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 
-from .experiments import DRIVERS, ExperimentConfig, run
+from .experiments import CHICAGO_REAL, DRIVERS, ExperimentConfig, flag, run
 
 
 def _float_list(s):
@@ -16,12 +17,40 @@ def _int_list(s):
     return [int(p) for p in s.split(",") if p.strip() != ""]
 
 
+def _restarts(s):
+    if int(s) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {s}")
+    return int(s)
+
+
+def _default(v) -> str:
+    if isinstance(v, list):
+        return f"[0,1,...,{len(v) - 1}]" if len(v) > 3 and v == list(range(len(v))) \
+            else "[" + ",".join(map(str, v)) + "]"
+    return "-" if v is None else str(v)
+
+
+def _epilog() -> str:
+    """Each experiment's options with their paper defaults, read off its table."""
+    lines = ["The options each experiment reads, with their paper defaults. An option",
+             "with a [list] default takes a comma-separated list; every other option",
+             "takes one value. '-' is unset: gmm-polygon then uses the preset polygon,",
+             "and chicago with --points-file needs --domain-file and --sigma.", ""]
+    tables = [*DRIVERS.items(), ("chicago with --points-file", CHICAGO_REAL)]
+    for name, (_, defaults) in tables:
+        lines.append(textwrap.fill(
+            " ".join(f"{flag(option)}={_default(v)}" for option, v in defaults.items()),
+            79, initial_indent=f"  {name}: ", subsequent_indent="      ",
+            break_on_hyphens=False))
+    return "\n".join(lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="truncsm",
-        description="Truncated-density estimation experiments "
-                    "(boundary-distance-weighted score matching); an option "
-                    "left out takes the experiment's paper setting")
+        description="Truncated-density estimation experiments (boundary-distance-weighted\n"
+                    "score matching); an option left out takes its paper setting.",
+        epilog=_epilog(), formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--experiment", required=True, choices=sorted(DRIVERS))
     p.add_argument("--seeds", type=_int_list, default=[],
                    help="comma-separated seed list")
@@ -32,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_float_list, default=[],
                    help="cap value(s) c for the capped weight")
     p.add_argument("--particles", type=_int_list, default=[])
-    p.add_argument("--restarts", type=int)
+    p.add_argument("--restarts", type=_restarts, help="restarts per fit, at least 1")
     p.add_argument("--domain-file", help="polygon vertex file (one 'x,y' per line)")
     p.add_argument("--points-file", help="point CSV with longitude/latitude columns")
     p.add_argument("--sigma", type=_float_list, default=[],

@@ -19,6 +19,8 @@ from . import optim
 from .geometry import WeightSpec, WeightTable, distance_batch
 from .optim import minimize_qn
 
+JITTER_SD = 0.06  # sd of the Gaussian jitter on each restart's start point
+
 
 class EstimatorError(ValueError):
     pass
@@ -32,7 +34,6 @@ class FitOptions:
     seed: int = 0
     init: Optional[np.ndarray] = None
     init_style: str = "mean_jitter"  # or "kmeans++"
-    jitter_sd: float = 0.06
 
 
 @dataclass
@@ -91,21 +92,22 @@ def initial_points(family, X, opts: FitOptions):
     if opts.init_style not in ("mean_jitter", "kmeans++"):
         raise EstimatorError(f"unknown init_style {opts.init_style!r}; "
                              "use 'mean_jitter' or 'kmeans++'")
+    if opts.restarts < 1:
+        raise EstimatorError(f"restarts must be at least 1, got {opts.restarts}")
     rng = np.random.default_rng(opts.seed)
     inits = []
     for _ in range(opts.restarts):
         if opts.init is not None:
             base = np.asarray(opts.init, dtype=float).copy()
             if opts.restarts > 1:
-                base = base + opts.jitter_sd * rng.standard_normal(family.r)
+                base = base + JITTER_SD * rng.standard_normal(family.r)
             inits.append(base)
         elif opts.init_style == "kmeans++" and family.K > 1:
             inits.append(kmeanspp_init(X, family.K, rng))
         else:
             # dataset mean plus a small Gaussian jitter, per component
-            mu = X.mean(axis=0)
-            eps = opts.jitter_sd * rng.standard_normal(family.r)
-            inits.append(np.tile(mu, family.K) + eps)
+            inits.append(np.tile(X.mean(axis=0), family.K)
+                         + JITTER_SD * rng.standard_normal(family.r))
     return inits
 
 

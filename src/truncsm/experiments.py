@@ -28,12 +28,13 @@ CONSTANT = geometry.WeightSpec(constant=True)
 
 @dataclass
 class ExperimentConfig:
-    """The options as given; an empty or None field takes the driver's
-    default, which is the paper's setting."""
+    """The options as given, echoed in the result's `# config=` line.  An
+    empty or None field takes the experiment's paper default from `DRIVERS`,
+    which also names the fields each experiment reads and which take a grid."""
 
     experiment: str
     seeds: list = field(default_factory=list)
-    n: list = field(default_factory=list)           # sample-size grid
+    n: list = field(default_factory=list)           # sample size(s)
     methods: list = field(default_factory=list)
     cap: list = field(default_factory=list)         # cap grid (c values)
     particles: list = field(default_factory=list)
@@ -65,18 +66,13 @@ def write_results(cfg: ExperimentConfig, rows: list, timings: Optional[list] = N
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = sorted(rows, key=lambda r: tuple(str(r.get(c, "")) for c in COLUMNS))
-    lines = [f"# schema={SCHEMA}",
-             "# config=" + json.dumps(cfg.as_dict(), sort_keys=True)]
-    lines.append(",".join(COLUMNS))
-    for r in rows:
-        lines.append(",".join(_fmt(r.get(c, "")) for c in COLUMNS))
+    lines = [f"# schema={SCHEMA}", "# config=" + json.dumps(cfg.as_dict(), sort_keys=True),
+             ",".join(COLUMNS)]
+    lines += [",".join(_fmt(r.get(c, "")) for c in COLUMNS) for r in rows]
     out.write_text("\n".join(lines) + "\n")
     if timings:
-        tpath = out.with_suffix(out.suffix + ".timing.csv")
-        tlines = ["key,wall_time_s"]
-        for key, wt in timings:
-            tlines.append(f"{key},{wt:.6f}")
-        tpath.write_text("\n".join(tlines) + "\n")
+        tlines = ["key,wall_time_s"] + [f"{key},{wt:.6f}" for key, wt in timings]
+        out.with_suffix(out.suffix + ".timing.csv").write_text("\n".join(tlines) + "\n")
     return out
 
 
@@ -85,21 +81,14 @@ def _params_str(**kv) -> str:
 
 
 def parse_params(s: str) -> dict:
-    out = {}
-    for part in str(s).split(";"):
-        if "=" in part:
-            k, v = part.split("=", 1)
-            out[k] = v
-    return out
+    return dict(part.split("=", 1) for part in str(s).split(";") if "=" in part)
 
 
 def _weight_name(spec: geometry.WeightSpec) -> str:
     if spec.constant:
         return "constant"
     name = type(spec.metric).__name__.lower()
-    if spec.cap is not None:
-        return f"{name}-cap{spec.cap:g}"
-    return name
+    return name if spec.cap is None else f"{name}-cap{spec.cap:g}"
 
 
 def _centers_str(theta, d) -> str:
@@ -117,9 +106,8 @@ def _row(cfg, seed, n, method, weight, params, error="", rep=None) -> dict:
     return row
 
 
-def _methods(cfg, default, accepted, experiment) -> list:
+def _methods(methods, accepted, experiment) -> list:
     """The requested methods, every name checked before any fit runs."""
-    methods = cfg.methods or default
     for method in methods:
         if method not in accepted:
             raise ExperimentError(f"unknown method {method!r} for {experiment}; "
@@ -127,20 +115,10 @@ def _methods(cfg, default, accepted, experiment) -> list:
     return methods
 
 
-def _single(cfg, option, default, experiment):
-    """The one value of `option` that a driver without a grid over it takes;
-    a list of several fails before any fit runs."""
-    values = getattr(cfg, option)
-    if len(values) > 1:
-        raise ExperimentError(f"{experiment} takes one --{option} value, got "
-                              f"{','.join(str(v) for v in values)}")
-    return values[0] if values else default
-
-
-def _fit(method, family, ds, domain, opts, particles=None, normalizer=None):
+def _fit(method, family, ds, domain, opts, particles=None, normalizer=None, spec=EUCLIDEAN):
     """One method's fit over all its restarts, and the result row's weight."""
     if method in ("truncsm", "sm-constant"):
-        spec = EUCLIDEAN if method == "truncsm" else CONSTANT
+        spec = spec if method == "truncsm" else CONSTANT
         return estimator.fit(family, ds, domain, spec, opts), _weight_name(spec)
     if method == "rjmle":
         return baselines.fit_rjmle(family, ds, domain, particles, opts,
@@ -148,152 +126,133 @@ def _fit(method, family, ds, domain, opts, particles=None, normalizer=None):
     return baselines.fit_mle_untruncated(family, ds, opts), "none"
 
 
+@dataclass
+class _Sweep:
+    """One run's result rows and timings."""
+
+    cfg: ExperimentConfig
+    rows: list = field(default_factory=list)
+    timings: list = field(default_factory=list)
+
+    def fit(self, key, seed, method, family, ds, domain, truth, opts=None, spec=EUCLIDEAN,
+            weight=None, particles=None, **params):
+        """Time one fit, append its timing key and its row: the error is the distance
+        to `truth` (centre by centre for a mixture); a callable param gets theta_hat."""
+        t0 = time.perf_counter()
+        rep, fitted = _fit(method, family, ds, domain,
+                           opts or estimator.FitOptions(seed=seed), particles, spec=spec)
+        self.timings.append((key, time.perf_counter() - t0))
+        theta = rep.theta_hat
+        err = estimator.match_centers(theta, truth, family.d)[0] if family.K > 1 \
+            else float(np.linalg.norm(theta - truth))
+        params = {k: v(theta) if callable(v) else v for k, v in params.items()}
+        self.rows.append(_row(self.cfg, seed, ds.n, method, weight or fitted,
+                              _params_str(particles=particles, **params), err, rep))
+
+
 # ---------------------------------------------------------------------------
 
 
-def run_gmm_polygon(cfg: ExperimentConfig):
+def run_gmm_polygon(cfg, seeds, n, methods, particles, restarts, domain_file):
     """Four-center truncated mixture on the polygon window."""
-    domain = geometry.load_polygon(cfg.domain_file) if cfg.domain_file \
+    domain = geometry.load_polygon(domain_file) if domain_file \
         else presets.default_polygon()
     family = models.IsotropicGMM(d=2, K=4, sigma2=1.0)
     truth = presets.GMM_TRUE_CENTERS.reshape(-1)
-    n_generated = _single(cfg, "n", 10_000, "gmm-polygon")
-    methods = _methods(cfg, ["truncsm", "rjmle"], ["truncsm", "sm-constant", "rjmle"],
-                       "gmm-polygon")
-    restarts = cfg.restarts or 10
+    methods = _methods(methods, ["truncsm", "sm-constant", "rjmle"], cfg.experiment)
+    # RJ-MLE runs once per particle count, with at most 3 restarts
+    runs = [(method, N, min(restarts, 3) if method == "rjmle" else restarts)
+            for method in methods for N in (particles if method == "rjmle" else [None])]
 
-    rows, timings = [], []
-    for seed in cfg.seeds or range(10):
-        ds = data.sample_truncated(family, truth, domain, n_generated, seed)
-        for method in methods:
-            # RJ-MLE runs once per particle count, with at most 3 restarts
-            runs = [(N, min(restarts, 3)) for N in cfg.particles or [500_000]] \
-                if method == "rjmle" else [(None, restarts)]
-            for N, r in runs:
-                opts = estimator.FitOptions(restarts=r, seed=seed, init_style="kmeans++")
-                t0 = time.perf_counter()
-                rep, weight = _fit(method, family, ds, domain, opts, particles=N)
-                wt = time.perf_counter() - t0
-                err, _, _ = estimator.match_centers(rep.theta_hat, truth, 2)
-                rows.append(_row(cfg, seed, ds.n, method, weight,
-                                 _params_str(particles=N,
-                                             centers=_centers_str(rep.theta_hat, 2)),
-                                 err, rep))
-                timings.append((f"{seed}:{method}" + (f":{N}" if N else ""), wt))
-    return write_results(cfg, rows, timings)
+    sweep = _Sweep(cfg)
+    for seed in seeds:
+        ds = data.sample_truncated(family, truth, domain, n, seed)
+        for method, N, r in runs:
+            sweep.fit(f"{seed}:{method}" + (f":{N}" if N else ""), seed, method, family,
+                      ds, domain, truth,
+                      estimator.FitOptions(restarts=r, seed=seed, init_style="kmeans++"),
+                      particles=N, centers=lambda theta: _centers_str(theta, 2))
+    return write_results(cfg, sweep.rows, sweep.timings)
 
 
-def run_maha_vs_euclid(cfg: ExperimentConfig):
+def run_maha_vs_euclid(cfg, seeds, n, sigma):
     """Single Gaussian on an elliptical window, two weight metrics."""
-    rhos = cfg.sigma or [0.3, 0.9]
-    n_grid = cfg.n or [250, 1000, 4000]
-    theta_true = np.array([0.5, 0.5])
+    if not all(0.0 <= rho < 1.0 for rho in sigma):
+        raise ExperimentError("correlation must lie in [0, 1)")
+    truth = np.array([0.5, 0.5])
     family = models.GaussianMean(2)
+    metrics = [geometry.Mahalanobis(np.array([[1.0, -rho], [-rho, 1.0]])) for rho in sigma]
+    grid = [(rho, geometry.MetricBall(m, 1.0),
+             {"euclidean": EUCLIDEAN, "mahalanobis": geometry.WeightSpec(metric=m)})
+            for rho, m in zip(sigma, metrics)]
 
-    rows, timings = [], []
-    for rho in rhos:
-        if not 0.0 <= rho < 1.0:
-            raise ExperimentError("correlation must lie in [0, 1)")
-        Sigma = np.array([[1.0, -rho], [-rho, 1.0]])
-        domain = geometry.MetricBall(geometry.Mahalanobis(Sigma), 1.0)
-        specs = {"euclidean": EUCLIDEAN,
-                 "mahalanobis": geometry.WeightSpec(metric=geometry.Mahalanobis(Sigma))}
-        for n in n_grid:
-            for seed in cfg.seeds or range(50):
-                ds = data.sample_truncated_n(family, theta_true, domain, n, seed)
+    sweep = _Sweep(cfg)
+    for rho, domain, specs in grid:
+        for size in n:
+            for seed in seeds:
+                ds = data.sample_truncated_n(family, truth, domain, size, seed)
                 for name, spec in specs.items():
-                    t0 = time.perf_counter()
-                    rep = estimator.fit(family, ds, domain, spec,
-                                        estimator.FitOptions(seed=seed))
-                    wt = time.perf_counter() - t0
-                    err = float(np.linalg.norm(rep.theta_hat - theta_true))
-                    rows.append(_row(cfg, seed, n, "truncsm", name,
-                                     _params_str(rho=rho), err, rep))
-                    timings.append((f"{rho}:{n}:{seed}:{name}", wt))
-    return write_results(cfg, rows, timings)
+                    sweep.fit(f"{rho}:{size}:{seed}:{name}", seed, "truncsm", family, ds,
+                              domain, truth, spec=spec, rho=rho)
+    return write_results(cfg, sweep.rows, sweep.timings)
 
 
-def run_capped_scaling(cfg: ExperimentConfig):
+def run_capped_scaling(cfg, seeds, n, cap, b_grid):
     """Capped weights while the truncation window scales up."""
-    b_grid = cfg.b_grid or [0.5, 1.0, 2.0, 4.0, 16.0]
-    c_grid = cfg.cap or [0.1, 10.0, 100.0]
-    n_generated = _single(cfg, "n", 1600, "capped-scaling")
-    theta_true = np.array([0.5, 0.5])
+    truth = np.array([0.5, 0.5])
     family = models.GaussianMean(2)
-    templates = ["square", "disjoint"]
+    domains = [(template, b, geometry.template_domain(template, b))
+               for template in ("square", "disjoint") for b in b_grid]
+    specs = [dataclasses.replace(EUCLIDEAN, cap=c) for c in cap]
 
-    rows, timings = [], []
-    for template in templates:
-        for b in b_grid:
-            domain = geometry.template_domain(template, b)
-            for seed in cfg.seeds or range(20):
-                ds = data.sample_truncated(family, theta_true, domain,
-                                           n_generated, seed)
-                raw = geometry.distance_batch(domain, EUCLIDEAN, ds.points)
-                for c in c_grid:
-                    frac = float((c * raw.g[:, 0] >= 1.0).mean())
-                    spec = dataclasses.replace(EUCLIDEAN, cap=c)
-                    t0 = time.perf_counter()
-                    rep = estimator.fit(family, ds, domain, spec,
-                                        estimator.FitOptions(seed=seed))
-                    wt = time.perf_counter() - t0
-                    err = float(np.linalg.norm(rep.theta_hat - theta_true))
-                    rows.append(_row(cfg, seed, ds.n, "truncsm", _weight_name(spec),
-                                     _params_str(template=template, b=b, c=c,
-                                                 capped_fraction=frac),
-                                     err, rep))
-                    timings.append((f"{template}:{b}:{seed}:{c}", wt))
-    return write_results(cfg, rows, timings)
+    sweep = _Sweep(cfg)
+    for template, b, domain in domains:
+        for seed in seeds:
+            ds = data.sample_truncated(family, truth, domain, n, seed)
+            raw = geometry.distance_batch(domain, EUCLIDEAN, ds.points).g[:, 0]
+            for c, spec in zip(cap, specs):
+                sweep.fit(f"{template}:{b}:{seed}:{c}", seed, "truncsm", family, ds, domain,
+                          truth, spec=spec, template=template, b=b, c=c,
+                          capped_fraction=float((c * raw >= 1.0).mean()))
+    return write_results(cfg, sweep.rows, sweep.timings)
 
 
-def run_l1_vs_l2(cfg: ExperimentConfig):
+def run_l1_vs_l2(cfg, seeds, n, d_grid):
     """L1 vs Euclidean weight metric on the hemi-l1-ball window."""
-    d_grid = cfg.d_grid or [2, 4, 8]
-    n = _single(cfg, "n", 150, "l1-vs-l2")
-
+    domains = [(d, geometry.hemi_l1_ball(d)) for d in d_grid]
     specs = {"l2": EUCLIDEAN, "l1": geometry.WeightSpec(metric=geometry.L1())}
 
-    rows, timings = [], []
-    for d in d_grid:
-        domain = geometry.hemi_l1_ball(d)
+    sweep = _Sweep(cfg)
+    for d, domain in domains:
         family = models.GaussianMean(d)
-        theta_true = np.full(d, 0.5)
-        for seed in cfg.seeds or range(50):
-            ds = data.sample_gaussian_in_l1_hemiball(theta_true, n, seed)
+        truth = np.full(d, 0.5)
+        for seed in seeds:
+            ds = data.sample_gaussian_in_l1_hemiball(truth, n, seed)
             for name, spec in specs.items():
-                t0 = time.perf_counter()
-                rep = estimator.fit(family, ds, domain, spec,
-                                    estimator.FitOptions(seed=seed))
-                wt = time.perf_counter() - t0
-                err = float(np.linalg.norm(rep.theta_hat - theta_true))
-                rows.append(_row(cfg, seed, n, "truncsm", name, _params_str(dim=d),
-                                 err, rep))
-                timings.append((f"{d}:{seed}:{name}", wt))
-    return write_results(cfg, rows, timings)
+                sweep.fit(f"{d}:{seed}:{name}", seed, "truncsm", family, ds, domain, truth,
+                          spec=spec, weight=name, dim=d)
+    return write_results(cfg, sweep.rows, sweep.timings)
 
 
-def _chicago_real(cfg: ExperimentConfig):
-    """Two-component mixture on city-style point data from --points-file."""
-    if not cfg.domain_file:
+def _chicago_real(cfg, seeds, methods, particles, restarts, domain_file, points_file,
+                  sigma):
+    """Two-component mixture on city-style point data from --points-file; one
+    seed, so `seeds` is a single value here."""
+    if not domain_file:
         raise ExperimentError("chicago needs --domain-file with the boundary polygon")
-    sigma = _single(cfg, "sigma", None, "chicago")
     if sigma is None:
         raise ExperimentError("chicago needs --sigma (component standard deviation)")
-    seed = _single(cfg, "seeds", 0, "chicago")
-    particles = _single(cfg, "particles", 500_000, "chicago")
-    domain = geometry.load_polygon(cfg.domain_file)
-    ds = data.load_points_csv(cfg.points_file, lon_col="longitude", lat_col="latitude")
+    seed = seeds
+    domain = geometry.load_polygon(domain_file)
+    ds = data.load_points_csv(points_file, lon_col="longitude", lat_col="latitude")
     ds = data.clip_to_domain(ds, domain)
     family = models.IsotropicGMM(d=2, K=2, sigma2=sigma ** 2)
-    restarts = cfg.restarts or 500
-    methods = _methods(cfg, ["truncsm", "rjmle", "mle"], ["truncsm", "rjmle", "mle"],
-                       "chicago")
+    methods = _methods(methods, ["truncsm", "rjmle", "mle"], "chicago")
     box = geometry.bounding_box(domain)
     diag = float(np.linalg.norm(box.upper - box.lower))
     opts = estimator.FitOptions(restarts=restarts, seed=seed)
-    normalizer = None
-    if "rjmle" in methods:
-        normalizer = baselines.make_normalizer(domain, particles, seed=seed)
+    normalizer = baselines.make_normalizer(domain, particles, seed=seed) \
+        if "rjmle" in methods else None
 
     rows, timings, center_lines = [], [], ["method,restart,component,x,y"]
     for method in methods:
@@ -307,91 +266,100 @@ def _chicago_real(cfg: ExperimentConfig):
             _, _, perm = estimator.match_centers(theta, C[0], 2)
             aligned.append(theta.reshape(family.K, 2)[perm].reshape(-1))
         A = np.array(aligned)
-        sd = float(A.std(axis=0).max())
-        rows.append({**_row(cfg, seed, ds.n, method, weight,
-                            _params_str(restarts=restarts, center_sd=sd, bbox_diag=diag,
-                                        mean_centers=_centers_str(A.mean(axis=0), 2))),
-                     "iterations": restarts})
+        rows.append({**_row(cfg, seed, ds.n, method, weight, _params_str(
+            restarts=restarts, center_sd=float(A.std(axis=0).max()), bbox_diag=diag,
+            mean_centers=_centers_str(A.mean(axis=0), 2))), "iterations": restarts})
         # the restarts alone: the weight table and the normalizer are one-off costs
         timings.append((method, rep.diagnostics["optimize_s"]))
     out = write_results(cfg, rows, timings)
-    centers_path = Path(cfg.out).with_suffix(".centers.csv")
-    centers_path.write_text("\n".join(center_lines) + "\n")
+    Path(cfg.out).with_suffix(".centers.csv").write_text("\n".join(center_lines) + "\n")
     return out
 
 
-def _chicago_synthetic(cfg: ExperimentConfig):
+def _chicago_synthetic(cfg, seeds, n, methods):
     """Western half-plane truncation stand-in for the chicago experiment's
     qualitative effect, run when no points file is supplied."""
-    theta_true = np.array([-0.5, 0.0])
+    truth = np.array([-0.5, 0.0])
     domain = geometry.Box(np.array([0.0, -3.0]), np.array([6.0, 3.0]))
     family = models.GaussianMean(2)
-    n = _single(cfg, "n", 1000, "chicago")
-    methods = _methods(cfg, ["truncsm", "mle"], ["truncsm", "sm-constant", "mle"],
-                       "chicago")
+    methods = _methods(methods, ["truncsm", "sm-constant", "mle"], "chicago")
 
-    rows, timings = [], []
-    for seed in cfg.seeds or range(50):
-        ds = data.sample_truncated_n(family, theta_true, domain, n, seed)
+    sweep = _Sweep(cfg)
+    for seed in seeds:
+        ds = data.sample_truncated_n(family, truth, domain, n, seed)
         for method in methods:
-            t0 = time.perf_counter()
-            rep, weight = _fit(method, family, ds, domain, estimator.FitOptions(seed=seed))
-            wt = time.perf_counter() - t0
-            err = float(np.linalg.norm(rep.theta_hat - theta_true))
-            rows.append(_row(cfg, seed, n, method, weight,
-                             _params_str(center_x=float(rep.theta_hat[0]),
-                                         center_y=float(rep.theta_hat[1])),
-                             err, rep))
-            timings.append((f"{seed}:{method}", wt))
-    return write_results(cfg, rows, timings)
+            sweep.fit(f"{seed}:{method}", seed, method, family, ds, domain, truth,
+                      center_x=lambda theta: float(theta[0]),
+                      center_y=lambda theta: float(theta[1]))
+    return write_results(cfg, sweep.rows, sweep.timings)
 
 
-def run_identity_check(cfg: ExperimentConfig):
+def run_identity_check(cfg, seeds, n):
     """Monte Carlo verification of the integration-by-parts identity."""
-    n = _single(cfg, "n", 100_000, "identity-check")
     domain = geometry.unit_square()
     family = models.GaussianMean(2)
     theta = np.array([0.2, 0.2])
     true_score = lambda X: -X  # standard Gaussian data score
 
-    rows, timings = [], []
-    for seed in cfg.seeds or range(10):
+    sweep = _Sweep(cfg)
+    for seed in seeds:
         t0 = time.perf_counter()
         ds = data.sample_truncated_n(models.GaussianMean(2), np.zeros(2), domain,
                                      n, seed, batch=200_000)
         table = geometry.distance_batch(domain, EUCLIDEAN, ds.points)
         lhs, rhs, z = estimator.ibp_identity_check(family, theta, ds.points,
                                                    true_score, table)
-        wt = time.perf_counter() - t0
-        rows.append(_row(cfg, seed, n, "truncsm", _weight_name(EUCLIDEAN),
-                         _params_str(lhs=lhs, rhs=rhs, zscore=z)))
-        timings.append((str(seed), wt))
-    return write_results(cfg, rows, timings)
+        sweep.timings.append((str(seed), time.perf_counter() - t0))
+        sweep.rows.append(_row(cfg, seed, n, "truncsm", _weight_name(EUCLIDEAN),
+                               _params_str(lhs=lhs, rhs=rhs, zscore=z)))
+    return write_results(cfg, sweep.rows, sweep.timings)
 
 
-# Each experiment's driver and the options it reads; `run` rejects any other
-# option that is given.  chicago has two drivers: the real-data one when
-# --points-file is given, otherwise the synthetic stand-in.
+# Each experiment's driver and the options it reads, with their paper defaults:
+# a list default marks a grid, any other default an option that takes one
+# value.  chicago has two drivers: the real-data one when --points-file is
+# given, otherwise the synthetic stand-in.
 DRIVERS = {
-    "gmm-polygon": (run_gmm_polygon,
-                    {"seeds", "n", "methods", "particles", "restarts", "domain_file"}),
-    "maha-vs-euclid": (run_maha_vs_euclid, {"seeds", "n", "sigma"}),
-    "capped-scaling": (run_capped_scaling, {"seeds", "n", "cap", "b_grid"}),
-    "l1-vs-l2": (run_l1_vs_l2, {"seeds", "n", "d_grid"}),
-    "chicago": (_chicago_synthetic, {"seeds", "n", "methods"}),
-    "identity-check": (run_identity_check, {"seeds", "n"}),
+    "gmm-polygon": (run_gmm_polygon, {
+        "seeds": list(range(10)), "n": 10_000, "methods": ["truncsm", "rjmle"],
+        "particles": [500_000], "restarts": 10, "domain_file": None}),
+    "maha-vs-euclid": (run_maha_vs_euclid, {
+        "seeds": list(range(50)), "n": [250, 1000, 4000], "sigma": [0.3, 0.9]}),
+    "capped-scaling": (run_capped_scaling, {
+        "seeds": list(range(20)), "n": 1600, "cap": [0.1, 10.0, 100.0],
+        "b_grid": [0.5, 1.0, 2.0, 4.0, 16.0]}),
+    "l1-vs-l2": (run_l1_vs_l2, {"seeds": list(range(50)), "n": 150, "d_grid": [2, 4, 8]}),
+    "chicago": (_chicago_synthetic, {
+        "seeds": list(range(50)), "n": 1000, "methods": ["truncsm", "mle"]}),
+    "identity-check": (run_identity_check, {"seeds": list(range(10)), "n": 100_000}),
 }
-CHICAGO_REAL = (_chicago_real, {"seeds", "methods", "particles", "restarts",
-                                "domain_file", "points_file", "sigma"})
+CHICAGO_REAL = (_chicago_real, {
+    "seeds": 0, "methods": ["truncsm", "rjmle", "mle"], "particles": 500_000,
+    "restarts": 500, "domain_file": None, "points_file": None, "sigma": None})
+
+
+def flag(option: str) -> str:
+    """The command-line flag of an ExperimentConfig field."""
+    return "--method" if option == "methods" else "--" + option.replace("_", "-")
 
 
 def run(cfg: ExperimentConfig):
+    """Check every given option against the experiment's table, before any fit,
+    and run its driver on the given values or the paper defaults."""
     if cfg.experiment not in DRIVERS:
         raise ExperimentError(f"unknown experiment {cfg.experiment!r}")
-    driver, reads = CHICAGO_REAL if cfg.experiment == "chicago" and cfg.points_file \
+    driver, defaults = CHICAGO_REAL if cfg.experiment == "chicago" and cfg.points_file \
         else DRIVERS[cfg.experiment]
+    values = dict(defaults)
     for option, value in cfg.as_dict().items():
-        if option not in reads | {"experiment", "out"} and value not in (None, []):
-            flag = "--method" if option == "methods" else "--" + option.replace("_", "-")
-            raise ExperimentError(f"{cfg.experiment} does not read {flag}")
-    return driver(cfg)
+        if option in ("experiment", "out") or value in (None, []):
+            continue
+        if option not in defaults:
+            raise ExperimentError(f"{cfg.experiment} does not read {flag(option)}")
+        if isinstance(value, list) and not isinstance(defaults[option], list):
+            if len(value) > 1:
+                raise ExperimentError(f"{cfg.experiment} takes one {flag(option)} value, "
+                                      f"got {','.join(str(v) for v in value)}")
+            value = value[0]
+        values[option] = value
+    return driver(cfg, **values)

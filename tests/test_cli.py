@@ -304,3 +304,131 @@ def test_option_a_driver_does_not_read_fails_before_any_fit(tmp_path, monkeypatc
     assert f"{args[0]} does not read {unread}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+# The options each experiment reads: the paper's option matrix.  "chicago-real"
+# is chicago with --points-file.
+READS = {
+    "gmm-polygon": {"seeds", "n", "methods", "particles", "restarts", "domain_file"},
+    "maha-vs-euclid": {"seeds", "n", "sigma"},
+    "capped-scaling": {"seeds", "n", "cap", "b_grid"},
+    "l1-vs-l2": {"seeds", "n", "d_grid"},
+    "chicago": {"seeds", "n", "methods"},
+    "identity-check": {"seeds", "n"},
+    "chicago-real": {"seeds", "methods", "particles", "restarts", "domain_file",
+                     "points_file", "sigma"},
+}
+FLAGS = {"seeds": "--seeds", "n": "--n", "methods": "--method", "cap": "--cap",
+         "particles": "--particles", "restarts": "--restarts",
+         "domain_file": "--domain-file", "points_file": "--points-file",
+         "sigma": "--sigma", "b_grid": "--b-grid", "d_grid": "--d-grid"}
+# every option an experiment does not read; --points-file is how chicago
+# picks its real-data driver, so the synthetic one never sees it
+UNREAD = [(name, option) for name, reads in READS.items() for option in FLAGS
+          if option not in reads and (name, option) != ("chicago", "points_file")]
+
+
+def test_option_tables_match_the_matrix():
+    from truncsm.experiments import CHICAGO_REAL, DRIVERS, ExperimentConfig
+
+    assert set(FLAGS) == {f for f in ExperimentConfig.__dataclass_fields__
+                          if f not in ("experiment", "out")}
+    tables = {name: set(defaults) for name, (_, defaults) in DRIVERS.items()}
+    tables["chicago-real"] = set(CHICAGO_REAL[1])
+    assert tables == READS
+
+
+@pytest.mark.parametrize("name, option", UNREAD, ids=[f"{n}-{o}" for n, o in UNREAD])
+def test_every_unread_option_fails_before_any_fit(tmp_path, monkeypatch, capsys,
+                                                  name, option):
+    from truncsm import baselines, data, estimator
+
+    calls = []
+    for owner, fn in ((estimator, "fit"), (estimator, "ibp_identity_check"),
+                      (baselines, "fit_rjmle"), (baselines, "fit_mle_untruncated"),
+                      (data, "sample_truncated"), (data, "sample_truncated_n"),
+                      (data, "sample_gaussian_in_l1_hemiball"), (data, "load_points_csv")):
+        monkeypatch.setattr(owner, fn, lambda *a, _n=fn, **k: calls.append(_n))
+    csv, poly = city_files(tmp_path)
+    values = {"seeds": "0", "n": "100", "methods": "truncsm", "cap": "5",
+              "particles": "7", "restarts": "3", "domain_file": str(poly),
+              "points_file": str(csv), "sigma": "0.1", "b_grid": "2", "d_grid": "3"}
+    args = ["--experiment", name.replace("-real", ""), "--seeds", "0"]
+    if name == "chicago-real":
+        args += ["--points-file", str(csv), "--domain-file", str(poly), "--sigma", "0.1"]
+    out = tmp_path / "o.csv"
+    rc = main(args + [FLAGS[option], values[option], "--out", str(out)])
+    assert rc == 1
+    assert f"does not read {FLAGS[option]}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_help_lists_each_experiments_options_and_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    # one entry per experiment, "  <label>: --opt=default ...", wrapped lines indented
+    entries = {}
+    for line in text[text.index("The options each experiment reads"):].splitlines():
+        if line.startswith("  ") and not line.startswith("   "):
+            label, rest = line.strip().split(": ", 1)
+            entries[label] = rest.split()
+        elif line.startswith("      "):
+            entries[label] += line.split()
+    labels = {"chicago-real": "chicago with --points-file"}
+    assert set(entries) == {labels.get(name, name) for name in READS}
+    for name, reads in READS.items():
+        shown = dict(word.split("=", 1) for word in entries[labels.get(name, name)])
+        assert sorted(shown) == sorted(FLAGS[option] for option in reads)
+    # a few paper defaults, as the paper states them
+    assert entries["gmm-polygon"][1:] == ["--n=10000", "--method=[truncsm,rjmle]",
+                                          "--particles=[500000]", "--restarts=10",
+                                          "--domain-file=-"]
+    assert "--n=[250,1000,4000]" in entries["maha-vs-euclid"]
+    assert "--restarts=500" in entries["chicago with --points-file"]
+    assert "--seeds=[0,1,...,49]" in entries["l1-vs-l2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["l1-vs-l2", "--d-grid", "2,13", "--n", "20"], "1 <= d <= 12"),
+    (["maha-vs-euclid", "--sigma", "0.3,1.5", "--n", "50"], "correlation must lie in [0, 1)"),
+    (["capped-scaling", "--b-grid", "1,-1", "--n", "200"], "scale factor b must be positive"),
+    (["capped-scaling", "--b-grid", "1", "--cap", "10,-1", "--n", "200"],
+     "cap must be positive"),
+], ids=["l1-vs-l2-d-grid", "maha-vs-euclid-sigma", "capped-scaling-b-grid",
+        "capped-scaling-cap"])
+def test_bad_grid_value_fails_before_any_fit(tmp_path, monkeypatch, capsys, args, message):
+    from truncsm import estimator
+
+    calls = []
+    monkeypatch.setattr(estimator, "fit", lambda *a, **k: calls.append("fit"))
+    out = tmp_path / "o.csv"
+    rc = main(["--experiment"] + args + ["--seeds", "0", "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["gmm-polygon", "real"])
+def test_restarts_below_one_fails_before_any_fit(tmp_path, monkeypatch, capsys, path):
+    from truncsm import baselines, estimator
+
+    calls = []
+    for owner, name in ((estimator, "fit"), (baselines, "fit_rjmle"),
+                        (baselines, "fit_mle_untruncated")):
+        monkeypatch.setattr(owner, name, lambda *a, _n=name, **k: calls.append(_n))
+    args = ["--experiment", "gmm-polygon", "--seeds", "0", "--n", "500"]
+    if path == "real":
+        csv, poly = city_files(tmp_path)
+        args = ["--experiment", "chicago", "--seeds", "0", "--points-file", str(csv),
+                "--domain-file", str(poly), "--sigma", "0.1"]
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--restarts", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--restarts: must be at least 1, got 0" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -181,6 +181,20 @@ def test_unknown_init_style_is_an_error(rng):
             FitOptions(init_style="kmeans"))
 
 
+@pytest.mark.parametrize("fitter", ["initial_points", "fit", "fit_mle_untruncated"])
+def test_zero_restarts_is_an_error_naming_restarts(rng, fitter):
+    from truncsm import baselines
+
+    fam = IsotropicGMM(d=2, K=2, sigma2=1.0)
+    X = rng.uniform(0.1, 0.9, size=(50, 2))
+    opts = FitOptions(restarts=0)
+    call = {"initial_points": lambda: estimator.initial_points(fam, X, opts),
+            "fit": lambda: fit(fam, X, unit_square(), EUCL, opts),
+            "fit_mle_untruncated": lambda: baselines.fit_mle_untruncated(fam, X, opts)}
+    with pytest.raises(EstimatorError, match="restarts must be at least 1, got 0"):
+        call[fitter]()
+
+
 @pytest.mark.parametrize("K", [2, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kmeanspp_running_minimum_matches_list_minimum(K, seed):
