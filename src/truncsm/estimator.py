@@ -1,8 +1,8 @@
 """Boundary-weighted score matching: empirical objective, gradient, fit loop
 and Monte Carlo divergence diagnostics.
 
-The per-sample estimation function is
-    m(x) = sum_k [ ((d_k l)^2 + 2 d_k^2 l) g_k(x) + 2 (d_k l) d_k g_k(x) ]
+The per-sample estimation function, for the scalar boundary weight g(x), is
+    m(x) = g(x) sum_k [ (d_k l)^2 + 2 d_k^2 l ] + 2 sum_k (d_k l) d_k g(x)
 and the fitted parameter minimizes the sample mean of m.  Weights are
 precomputed once per dataset; they do not depend on the parameter.
 """
@@ -51,8 +51,9 @@ def _check_shapes(X, weights: WeightTable):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise EstimatorError("dataset must be an (n, d) matrix")
-    if weights.g.shape != X.shape or weights.dg.shape != X.shape:
-        raise EstimatorError("weight table shape does not match the dataset")
+    if weights.g.shape != (len(X), 1) or weights.dg.shape != X.shape:
+        raise EstimatorError(f"the {X.shape} dataset needs g {(len(X), 1)} and dg {X.shape}, "
+                             f"got g {weights.g.shape} and dg {weights.dg.shape}")
     return X
 
 
@@ -61,9 +62,9 @@ def objective_and_grad(family, theta, X, weights: WeightTable):
     X = _check_shapes(X, weights)
     dl, d2l = family.score_batch(theta, X)
     m_sum = ((dl * dl + 2.0 * d2l) * weights.g + 2.0 * dl * weights.dg).sum()
-    # dm/d(dl) = 2 (dl g + dg) and dm/d(d2l) = 2 g, per sample and coordinate
+    # dm/d(dl) = 2 (dl g + dg), dm/d(d2l) = 2 g, repeated: each VJP GEMM would copy a view
     grad = family.score_grad_batch(theta, X, 2.0 * (dl * weights.g + weights.dg),
-                                   2.0 * weights.g)
+                                   np.repeat(2.0 * weights.g, X.shape[1], axis=1))
     return float(m_sum / len(X)), grad / len(X)
 
 
@@ -150,7 +151,7 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
     weights = distance_batch(domain, weight_spec, X)
     if family.K == 1:
         theta = ((weights.g * X).sum(axis=0) - family.sigma2 * weights.dg.sum(axis=0)) \
-            / weights.g.sum(axis=0)
+            / weights.g.sum()
         opts = replace(opts, init=theta, restarts=1)
 
     def fg(theta):
@@ -160,7 +161,7 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
         return _run_restarts(
             lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
             initial_points(family, X, opts),
-            weight_eval_count=weights.eval_count, diagnostics={"n": len(X)})
+            weight_eval_count=1, diagnostics={"n": len(X)})
 
 
 def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:
@@ -180,8 +181,8 @@ def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:
 def ibp_identity_check(family, theta, X, true_score, weights: WeightTable):
     """Monte Carlo check of the integration-by-parts identity.
 
-    lhs_i = sum_k g_k (d_k l)(d_k log q),
-    rhs_i = -sum_k [ (d_k g_k)(d_k l) + g_k d_k^2 l ].
+    lhs_i = g sum_k (d_k l)(d_k log q),
+    rhs_i = -sum_k [ (d_k g)(d_k l) + g d_k^2 l ].
     Returns (lhs, rhs, zscore) with the z-score based on the per-sample
     paired difference.
     """

@@ -344,8 +344,9 @@ def flag(option: str) -> str:
 
 
 def run(cfg: ExperimentConfig):
-    """Check every given option against the experiment's table, before any fit,
-    and run its driver on the given values or the paper defaults."""
+    """Before any fit, check the given options against the experiment's table and the
+    seeds, sample sizes and particle counts against their least values; then run the
+    driver on the given values or the paper defaults."""
     if cfg.experiment not in DRIVERS:
         raise ExperimentError(f"unknown experiment {cfg.experiment!r}")
     driver, defaults = CHICAGO_REAL if cfg.experiment == "chicago" and cfg.points_file \
@@ -362,4 +363,7 @@ def run(cfg: ExperimentConfig):
                                       f"got {','.join(str(v) for v in value)}")
             value = value[0]
         values[option] = value
+    for option, least in (("seeds", 0), ("n", 1), ("particles", 1)):
+        if option in values and np.min(values[option]) < least:
+            raise ExperimentError(f"{flag(option)} must be at least {least}, got {values[option]}")
     return driver(cfg, **values)

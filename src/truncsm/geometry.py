@@ -212,7 +212,7 @@ class DisjointUnion:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """How to turn boundary distance into the per-coordinate weight.
+    """How to turn boundary distance into the scalar weight g(x).
 
     cap=c gives g = min(1, c*g0); constant=True gives g == 1 (naive SM).
     """
@@ -230,15 +230,13 @@ class WeightSpec:
 
 @dataclass
 class WeightTable:
-    """Precomputed per-sample weights g_k(x_i) and partials d_k g_k(x_i)."""
+    """Precomputed weights g(x_i) and their gradients, dg[:, k] = d_k g."""
 
-    g: np.ndarray   # (n, d)
+    g: np.ndarray   # (n, 1), a column that broadcasts against (n, d) score arrays
     dg: np.ndarray  # (n, d)
-    eval_count: int = 1
 
     def scaled(self, alpha: float) -> "WeightTable":
-        return WeightTable(g=alpha * self.g, dg=alpha * self.dg,
-                           eval_count=self.eval_count)
+        return WeightTable(g=alpha * self.g, dg=alpha * self.dg)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +499,8 @@ def _ball_distance(ball: MetricBall, L, X):
 
 
 def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
-    """Weights and per-coordinate partials for every point, evaluated once.
-
-    The scalar weight g(x) is broadcast to every coordinate k (g_k = g) and
-    dg holds the gradient of g, so dg[:, k] = d_k g_k.
-    """
+    """The weight g(x) as an (n, 1) column and its (n, d) gradient, for
+    every point, evaluated once."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != domain.dim:
         raise DimensionMismatchError("points must be (n, d) matching domain")
@@ -519,14 +514,14 @@ def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
     if not np.all(inside):
         raise OutsideDomainError(f"point {int(np.argmin(inside))} is outside the domain")
     if weight.constant:
-        return WeightTable(g=np.ones((n, d)), dg=np.zeros((n, d)), eval_count=1)
+        return WeightTable(g=np.ones((n, 1)), dg=np.zeros((n, d)))
     g, grad = _raw_distance_batch(domain, weight.metric, X, label)
     if weight.cap is not None:
         c = weight.cap
         capped = c * g >= 1.0  # the kink itself takes the capped (zero-grad) branch
         g = np.where(capped, 1.0, c * g)
         grad = np.where(capped[:, None], 0.0, c * grad)
-    return WeightTable(g=np.repeat(g[:, None], d, axis=1), dg=grad.copy(), eval_count=1)
+    return WeightTable(g=g[:, None], dg=grad)
 
 
 def distance(domain, weight: WeightSpec, x):

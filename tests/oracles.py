@@ -152,6 +152,12 @@ def brute_ellipsoid_distance(M, radius, x, rng, n_samples=200_000, rounds=60):
     return best
 
 
+# Model scales as (offset, spread, sigma2): unit spread at the origin;
+# longitude/latitude scale (-66, 42) with sigma2 = 0.0064; spread 20
+SCALES = {"unit": (0.0, 1.0, 1.0), "chicago": (np.array([-66.0, 42.0]), 0.08, 0.0064),
+          "spread20": (0.0, 20.0, 1.0)}
+
+
 def _dense_mixture(family, theta, X):
     """Responsibilities (n, K), log-sum-exp (n,) and differences x - mu_j
     (n, K, d) of an isotropic mixture, from the differences themselves."""

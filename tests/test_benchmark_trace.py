@@ -1,8 +1,12 @@
-"""The benchmark's traced mode, run on one small operation.
+"""The benchmark's workloads, run on a few small operations.
 
 `perfbench/run.py --trace 1` fails when a layer entry point it wraps is gone
 or a span it maps to a metric never occurs; this runs one `ellipse-weights`
-operation under the same tracer so such a change fails here too.
+operation under the same tracer so such a change fails here too.  The
+`city-polygon` check fails an operation whose median restart lands on other
+centres or whose boundary weights miss the brute-force oracle; three of its
+operations run here, untraced, so a change that moves a restart or the weight
+table's format fails here too.
 """
 
 import sys
@@ -48,3 +52,14 @@ def test_traced_ellipse_weights_operation(perfbench, tmp_path):
     metrics = tracing.layer_metrics(spans)
     assert metrics["estimator.objective_and_grad_calls"] > 0
     assert metrics["optim.minimize_qn_calls"] == 4
+
+
+def test_city_polygon_operations_pass_their_check(perfbench, tmp_path):
+    _, workloads = perfbench
+    wl = workloads.CityPolygon(seed=11, workdir=tmp_path)
+    wl.setup()
+    for k in (1, 2, 3):
+        points_file = wl.prepare(k)
+        out = wl.run(k, points_file)
+        failures, _ = wl.check(k, points_file, out)
+        assert failures == [], f"operation {k}: {failures}"

@@ -397,15 +397,23 @@ def test_help_lists_each_experiments_options_and_defaults(capsys):
     (["capped-scaling", "--b-grid", "1,-1", "--n", "200"], "scale factor b must be positive"),
     (["capped-scaling", "--b-grid", "1", "--cap", "10,-1", "--n", "200"],
      "cap must be positive"),
+    (["gmm-polygon", "--n", "500", "--restarts", "1", "--particles", "1000,0"],
+     "--particles must be at least 1, got [1000, 0]"),
+    (["maha-vs-euclid", "--sigma", "0.3", "--n", "100,0"], "--n must be at least 1, got [100, 0]"),
+    (["l1-vs-l2", "--seeds", "0,-1", "--n", "40", "--d-grid", "2"],
+     "--seeds must be at least 0, got [0, -1]"),
 ], ids=["l1-vs-l2-d-grid", "maha-vs-euclid-sigma", "capped-scaling-b-grid",
-        "capped-scaling-cap"])
+        "capped-scaling-cap", "gmm-polygon-particles", "maha-vs-euclid-n", "l1-vs-l2-seeds"])
 def test_bad_grid_value_fails_before_any_fit(tmp_path, monkeypatch, capsys, args, message):
-    from truncsm import estimator
+    from truncsm import baselines, estimator
 
     calls = []
-    monkeypatch.setattr(estimator, "fit", lambda *a, **k: calls.append("fit"))
+    for owner, name in ((estimator, "fit"), (baselines, "fit_rjmle"),
+                        (baselines, "fit_mle_untruncated")):
+        monkeypatch.setattr(owner, name, lambda *a, _n=name, **k: calls.append(_n))
     out = tmp_path / "o.csv"
-    rc = main(["--experiment"] + args + ["--seeds", "0", "--out", str(out)])
+    seeds = [] if "--seeds" in args else ["--seeds", "0"]
+    rc = main(["--experiment"] + args + seeds + ["--out", str(out)])
     assert rc == 1
     assert message in capsys.readouterr().err
     assert calls == []

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truncsm import estimator, geometry
+from truncsm import estimator, geometry, presets
 from truncsm.estimator import (
     EstimatorError,
     FitOptions,
@@ -15,18 +17,20 @@ from truncsm.estimator import (
     objective_grad,
 )
 from truncsm.geometry import (
+    L1,
     Euclidean,
     Mahalanobis,
     MetricBall,
     WeightSpec,
     WeightTable,
+    template_domain,
     unit_square,
 )
 from truncsm.models import GaussianMean, IsotropicGMM
 from truncsm.optim import minimize_qn
 
 from conftest import interior_points
-from oracles import fd_gradient
+from oracles import SCALES, fd_gradient
 
 EUCL = WeightSpec(metric=Euclidean())
 
@@ -53,14 +57,14 @@ def test_objective_constant_weight_at_theta():
     fam = GaussianMean(d)
     theta = np.array([0.3, -0.2, 1.0])
     X = theta[None, :]
-    w = table(np.ones((1, d)), np.zeros((1, d)))
+    w = table(np.ones((1, 1)), np.zeros((1, d)))
     assert objective(fam, theta, X, w) == pytest.approx(-2.0 * d, abs=1e-15)
 
 
 def test_objective_weight_scaling_linearity(rng):
     fam = GaussianMean(2)
     X = rng.standard_normal((20, 2))
-    w = table(rng.random((20, 2)), rng.standard_normal((20, 2)))
+    w = table(rng.random((20, 1)), rng.standard_normal((20, 2)))
     theta = rng.standard_normal(2)
     base = objective(fam, theta, X, w)
     for alpha in (0.5, 2.0, 10.0):
@@ -71,9 +75,13 @@ def test_objective_weight_scaling_linearity(rng):
 def test_objective_shape_mismatch(rng):
     fam = GaussianMean(2)
     X = rng.standard_normal((5, 2))
-    w = table(np.ones((4, 2)), np.zeros((4, 2)))
-    with pytest.raises(EstimatorError):
-        objective(fam, np.zeros(2), X, w)
+    for g_shape, dg_shape in [((4, 1), (4, 2)), ((5, 2), (5, 2)), ((5,), (5, 2)),
+                              ((5, 1), (5, 1))]:
+        w = table(np.ones(g_shape), np.zeros(dg_shape))
+        message = (rf"the \(5, 2\) dataset needs g \(5, 1\) and dg \(5, 2\), "
+                   rf"got g {re.escape(str(g_shape))} and dg {re.escape(str(dg_shape))}")
+        with pytest.raises(EstimatorError, match=message):
+            objective(fam, np.zeros(2), X, w)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +91,7 @@ def test_objective_shape_mismatch(rng):
 def test_grad_constant_weight_closed_form(rng):
     fam = GaussianMean(2)
     X = rng.standard_normal((50, 2))
-    w = table(np.ones((50, 2)), np.zeros((50, 2)))
+    w = table(np.ones((50, 1)), np.zeros((50, 2)))
     g = objective_grad(fam, X.mean(axis=0), X, w)
     assert np.allclose(g, 0.0, atol=1e-12)
 
@@ -92,7 +100,7 @@ def test_grad_symmetric_dataset():
     fam = GaussianMean(2)
     a = np.array([0.4, 0.3])
     X = np.vstack([a, -a])
-    w = table(np.full((2, 2), 0.2), np.vstack([-a / np.linalg.norm(a),
+    w = table(np.full((2, 1), 0.2), np.vstack([-a / np.linalg.norm(a),
                                               a / np.linalg.norm(a)]))
     g = objective_grad(fam, np.zeros(2), X, w)
     assert np.allclose(g, 0.0, atol=1e-12)
@@ -126,6 +134,18 @@ def test_fit_gaussian_consistency():
     assert rep.status == "converged"
 
 
+def test_fit_computes_weights_once(monkeypatch):
+    calls = []
+    weigh = estimator.distance_batch
+    monkeypatch.setattr(estimator, "distance_batch",
+                        lambda *a, **k: calls.append(1) or weigh(*a, **k))
+    X = interior_points(unit_square(), 300, seed=4)
+    rep = fit(IsotropicGMM(d=2, K=2, sigma2=0.5), X, unit_square(), EUCL,
+              FitOptions(restarts=5, seed=0))
+    assert len(rep.restarts) == 5
+    assert len(calls) == 1 == rep.weight_eval_count
+
+
 ELLIPSE_SIGMA = np.array([[1.0, -0.9], [-0.9, 1.0]])
 K1_CASES = {
     "euclidean": (unit_square(), EUCL),
@@ -155,6 +175,56 @@ def test_k1_fit_is_the_closed_form_minimizer(case, sigma2):
     assert len(rep.restarts) == 1
     assert len(rep.objective_trace) == 1 and rep.diagnostics["n_obj_evals"] == 1
     assert rep.objective_trace[0][2] <= 1e-12
+
+
+# Every kind of weight: distance, capped and constant; Euclidean, l1 and
+# Mahalanobis; on a polytope, a polygon, a ball and a disjoint union.
+SIGMA_SPD = np.array([[1.0, 0.3], [0.3, 0.5]])
+WEIGHT_KINDS = {
+    "polytope-euclidean": (unit_square, EUCL),
+    "polytope-l1": (unit_square, WeightSpec(metric=L1())),
+    "polytope-mahalanobis": (unit_square, WeightSpec(metric=Mahalanobis(SIGMA_SPD))),
+    "polytope-capped": (unit_square, WeightSpec(cap=5.0)),
+    "polytope-constant": (unit_square, WeightSpec(constant=True)),
+    "polygon-euclidean": (presets.default_polygon, EUCL),
+    "polygon-mahalanobis": (presets.default_polygon, WeightSpec(metric=Mahalanobis(SIGMA_SPD))),
+    "ball-euclidean": (lambda: MetricBall(Euclidean(), 1.0, dim=2), EUCL),
+    "ellipse-mahalanobis": (lambda: MetricBall(Mahalanobis(ELLIPSE_SIGMA), 1.0),
+                            WeightSpec(metric=Mahalanobis(ELLIPSE_SIGMA))),
+    "union-euclidean": (lambda: template_domain("disjoint", 1.0), EUCL),
+    "union-capped": (lambda: template_domain("disjoint", 1.0), WeightSpec(cap=3.0)),
+}
+
+
+def repeated_objective_and_grad(family, theta, X, w):
+    """The objective with the weight copied into every coordinate, an (n, d)
+    array that is also the d2l cotangent."""
+    G = np.repeat(w.g, X.shape[1], axis=1)
+    dl, d2l = family.score_batch(theta, X)
+    m_sum = ((dl * dl + 2.0 * d2l) * G + 2.0 * dl * w.dg).sum()
+    grad = family.score_grad_batch(theta, X, 2.0 * (dl * G + w.dg), 2.0 * G)
+    return float(m_sum / len(X)), grad / len(X)
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
+def test_weight_column_matches_repeated_weights(kind):
+    # g is one column that broadcasts; the objective and gradient are those of
+    # the weight repeated over the d coordinates, bit for bit
+    make_domain, spec = WEIGHT_KINDS[kind]
+    domain = make_domain()
+    U = interior_points(domain, 400, seed=7)
+    w = geometry.distance_batch(domain, spec, U)
+    assert w.g.shape == (400, 1) and w.dg.shape == (400, 2)
+    assert w.dg.flags.owndata
+    for K in (2, 4):
+        for scale in sorted(SCALES):
+            offset, spread, s2 = SCALES[scale]
+            fam = IsotropicGMM(d=2, K=K, sigma2=s2)
+            theta = (offset + spread * np.random.default_rng(K).standard_normal((K, 2))).ravel()
+            X = offset + spread * U
+            got = objective_and_grad(fam, theta, X, w)
+            want = repeated_objective_and_grad(fam, theta, X, w)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def test_fit_constant_weight_huge_box(rng):
@@ -327,7 +397,7 @@ def test_ibp_identity_zscore():
 def test_ibp_zero_weight_table():
     fam = GaussianMean(2)
     X = _truncated_gaussian_sample(100, 3)
-    w = WeightTable(g=np.zeros_like(X), dg=np.zeros_like(X))
+    w = WeightTable(g=np.zeros((len(X), 1)), dg=np.zeros_like(X))
     lhs, rhs, z = ibp_identity_check(fam, np.zeros(2), X, lambda Z: -Z, w)
     assert lhs == 0.0 and rhs == 0.0
 
@@ -338,7 +408,7 @@ def test_property_objective_scaling(seed):
     rng = np.random.default_rng(seed)
     fam = GaussianMean(2)
     X = rng.standard_normal((10, 2))
-    w = WeightTable(g=rng.random((10, 2)), dg=rng.standard_normal((10, 2)))
+    w = WeightTable(g=rng.random((10, 1)), dg=rng.standard_normal((10, 2)))
     theta = rng.standard_normal(2)
     alpha = float(rng.uniform(0.1, 20.0))
     a = objective(fam, theta, X, w.scaled(alpha))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_logp, dense_score, dense_score_jacobians
+from oracles import SCALES, dense_logp, dense_score, dense_score_jacobians
 from truncsm import baselines, data, estimator, geometry, models, presets
 from truncsm.models import (
     GaussianMean,
@@ -181,12 +181,6 @@ def test_sampling_moments(rng):
 
 def _rel(approx, exact):
     return np.abs(approx - exact).max() / np.abs(exact).max()
-
-
-# unit spread at the origin; longitude/latitude scale (-66, 42) with
-# sigma2 = 0.0064; spread 20
-SCALES = {"unit": (0.0, 1.0, 1.0), "chicago": (np.array([-66.0, 42.0]), 0.08, 0.0064),
-          "spread20": (0.0, 20.0, 1.0)}
 
 
 @pytest.mark.parametrize("K, d", [(1, 2), (4, 2), (3, 8), (1, 8)])
