@@ -20,6 +20,8 @@ from .geometry import WeightSpec, WeightTable, distance_batch
 from .optim import minimize_qn
 
 JITTER_SD = 0.06  # sd of the Gaussian jitter on each restart's start point
+INIT_STYLES = ("mean_jitter", "kmeans++", "kmeans")
+LLOYD_MAX_ITERS = 100  # Lloyd steps after k-means++ seeding in the "kmeans" style
 
 
 class EstimatorError(ValueError):
@@ -33,7 +35,7 @@ class FitOptions:
     restarts: int = 1
     seed: int = 0
     init: Optional[np.ndarray] = None
-    init_style: str = "mean_jitter"  # or "kmeans++"
+    init_style: str = "mean_jitter"  # one of INIT_STYLES
 
 
 @dataclass
@@ -88,11 +90,31 @@ def kmeanspp_init(X, K, rng):
     return np.concatenate(centers)
 
 
+def kmeans_init(X, K, rng):
+    """k-means++ seeding, then Lloyd steps until no point changes its nearest
+    center (at most LLOYD_MAX_ITERS); a center that loses every point stays put."""
+    mean = X.mean(axis=0)
+    Yt = np.ascontiguousarray((X - mean).T)  # centred, feature-major (d, n)
+    C = kmeanspp_init(X, K, rng).reshape(K, -1) - mean
+    labels = None
+    for _ in range(LLOYD_MAX_ITERS):
+        # ||c||^2 - 2 c.y is the squared distance less ||y||^2, the same for every center
+        nearest = np.argmin((C * C).sum(axis=1)[:, None] - 2.0 * (C @ Yt), axis=0)
+        if labels is not None and np.array_equal(nearest, labels):
+            break
+        labels = nearest
+        member = labels == np.arange(K)[:, None]  # (K, n)
+        count = member.sum(axis=1)[:, None]
+        C = np.where(count > 0, (member @ Yt.T) / np.maximum(count, 1), C)
+    return (C + mean).reshape(-1)
+
+
 def initial_points(family, X, opts: FitOptions):
-    """Per-restart initial parameter vectors."""
-    if opts.init_style not in ("mean_jitter", "kmeans++"):
-        raise EstimatorError(f"unknown init_style {opts.init_style!r}; "
-                             "use 'mean_jitter' or 'kmeans++'")
+    """Per-restart initial parameter vectors: `init` jittered, or for a mixture
+    k-means++ seeds or k-means centers, else the data mean jittered."""
+    if opts.init_style not in INIT_STYLES:
+        raise EstimatorError(f"unknown init_style {opts.init_style!r}; use one of "
+                             + ", ".join(repr(s) for s in INIT_STYLES))
     if opts.restarts < 1:
         raise EstimatorError(f"restarts must be at least 1, got {opts.restarts}")
     rng = np.random.default_rng(opts.seed)
@@ -105,6 +127,8 @@ def initial_points(family, X, opts: FitOptions):
             inits.append(base)
         elif opts.init_style == "kmeans++" and family.K > 1:
             inits.append(kmeanspp_init(X, family.K, rng))
+        elif opts.init_style == "kmeans" and family.K > 1:
+            inits.append(kmeans_init(X, family.K, rng))
         else:
             # dataset mean plus a small Gaussian jitter, per component
             inits.append(np.tile(X.mean(axis=0), family.K)

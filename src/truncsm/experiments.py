@@ -250,7 +250,9 @@ def _chicago_real(cfg, seeds, methods, particles, restarts, domain_file, points_
     methods = _methods(methods, ["truncsm", "rjmle", "mle"], "chicago")
     box = geometry.bounding_box(domain)
     diag = float(np.linalg.norm(box.upper - box.lower))
-    opts = estimator.FitOptions(restarts=restarts, seed=seed)
+    # each restart starts at k-means centers: from the data mean, jittered starts
+    # can settle a center between the two clusters
+    opts = estimator.FitOptions(restarts=restarts, seed=seed, init_style="kmeans")
     normalizer = baselines.make_normalizer(domain, particles, seed=seed) \
         if "rjmle" in methods else None
 

@@ -33,6 +33,74 @@ def brute_polygon_distance(vertices, x, n_samples=100_000):
     return dist[0] if x.ndim == 1 else np.array(dist)
 
 
+# Reference forms of the polygon kernels in `truncsm.geometry`: one pass per edge
+# or per pair of edges, over every point.  The library's kernels cull the pairs
+# first and must still equal these bit for bit.
+
+
+def loop_polygon_is_simple(V):
+    """False if two non-adjacent edges meet by the orientation-sign test."""
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return int(np.sign(v))
+
+    V = np.asarray(V, dtype=float)
+    T = len(V)
+    for i in range(T):
+        p1, p2 = V[i], V[(i + 1) % T]
+        for j in range(i + 1, T):
+            if (j + 1) % T == i or (i + 1) % T == j:
+                continue
+            q1, q2 = V[j], V[(j + 1) % T]
+            if (orient(p1, p2, q1) != orient(p1, p2, q2)
+                    and orient(q1, q2, p1) != orient(q1, q2, p2)):
+                return False
+    return True
+
+
+def loop_polygon_contains(V, X):
+    """Even-odd ray test with the exact on-boundary exclusion, edge by edge."""
+    T = len(V)
+    x, y = X[:, 0], X[:, 1]
+    inside = np.zeros(len(X), dtype=bool)
+    on_boundary = np.zeros(len(X), dtype=bool)
+    j = T - 1
+    for i in range(T):
+        px, py = V[i]
+        qx, qy = V[j]
+        cross = (qx - px) * (y - py) - (qy - py) * (x - px)
+        dot = (x - px) * (qx - px) + (y - py) * (qy - py)
+        seg2 = (qx - px) ** 2 + (qy - py) ** 2
+        on_boundary |= (cross == 0.0) & (dot >= 0.0) & (dot <= seg2)
+        crosses = ((py > y) != (qy > y))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xint = (qx - px) * (y - py) / (qy - py) + px
+        inside ^= crosses & (x < xint)
+        j = i
+    return inside & ~on_boundary
+
+
+def dense_polygon_distance(V, X):
+    """Distance to the nearest edge and its gradient, from (n, T, 2) arrays of
+    every point against every edge; ties go to the lowest-numbered edge."""
+    P1 = V
+    P2 = np.roll(V, -1, axis=0)
+    edge = P1 - P2
+    len2 = (edge ** 2).sum(axis=1)
+    diff = X[:, None, :] - P2[None, :, :]
+    alpha = np.clip(np.einsum("ntk,tk->nt", diff, edge) / len2, 0.0, 1.0)
+    proj = alpha[:, :, None] * P1[None, :, :] + (1.0 - alpha)[:, :, None] * P2[None, :, :]
+    dvec = X[:, None, :] - proj
+    dist = np.linalg.norm(dvec, axis=2)
+    tstar = np.argmin(dist, axis=1)
+    idx = np.arange(len(X))
+    g = dist[idx, tstar]
+    n = dvec[idx, tstar]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        grad = np.where(g[:, None] > 0.0, n / np.where(g[:, None] > 0, g[:, None], 1.0), 0.0)
+    return g, grad
+
+
 def polytope_facet_samples(A, b, rng, n_per_facet):
     """Sample points on each active facet of {Ax + b < 0} (3-D polytopes).
 

@@ -226,6 +226,20 @@ def test_chicago_real_data_path(tmp_path):
     assert len(centers) == 1 + 2 * 2 * 20  # methods * components * restarts
 
 
+def test_chicago_real_restarts_start_at_kmeans_centers(tmp_path, monkeypatch):
+    from truncsm import estimator
+
+    starts = []
+    kmeans = estimator.kmeans_init
+    monkeypatch.setattr(estimator, "kmeans_init", lambda *a: starts.append(kmeans(*a)) or starts[-1])
+    csv, poly = city_files(tmp_path)
+    rc = main(["--experiment", "chicago", "--seeds", "0", "--points-file", str(csv),
+               "--domain-file", str(poly), "--sigma", "0.1", "--restarts", "3",
+               "--method", "truncsm,mle", "--out", str(tmp_path / "chi.csv")])
+    assert rc == 0
+    assert len(starts) == 2 * 3  # methods * restarts
+
+
 @pytest.mark.parametrize("path", ["gmm-polygon", "synthetic", "real"])
 def test_unknown_method_fails_before_any_fit(tmp_path, monkeypatch, capsys, path):
     from truncsm import baselines, estimator

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def test_unknown_init_style_is_an_error(rng):
     X = rng.uniform(0.1, 0.9, size=(50, 2))
     with pytest.raises(EstimatorError, match=r"mean_jitter.*kmeans\+\+"):
         fit(IsotropicGMM(d=2, K=2, sigma2=1.0), X, unit_square(), EUCL,
-            FitOptions(init_style="kmeans"))
+            FitOptions(init_style="kmedoids"))
 
 
 @pytest.mark.parametrize("fitter", ["initial_points", "fit", "fit_mle_untruncated"])
@@ -282,6 +283,43 @@ def test_kmeanspp_running_minimum_matches_list_minimum(K, seed):
     ref_rng = np.random.default_rng(seed)
     assert np.array_equal(got, list_min(ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _lloyd_reference(X, C, steps):
+    """Lloyd steps from centers C with exact squared distances, stopping when
+    no label changes."""
+    C, labels = C.copy(), None
+    for _ in range(steps):
+        nearest = np.argmin(((X[:, None, :] - C) ** 2).sum(axis=2), axis=1)
+        if labels is not None and np.array_equal(nearest, labels):
+            break
+        labels = nearest
+        for k in range(len(C)):
+            if np.any(labels == k):
+                C[k] = X[labels == k].mean(axis=0)
+    return C.reshape(-1)
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+@pytest.mark.parametrize("steps", [1, 100])
+def test_kmeans_init_is_lloyd_from_kmeanspp_seeds(K, steps, monkeypatch):
+    """k-means starts are Lloyd's centers from the k-means++ seeds, at city-scale
+    coordinates, stopped after LLOYD_MAX_ITERS steps or when no label changes."""
+    monkeypatch.setattr(estimator, "LLOYD_MAX_ITERS", steps)
+    X = np.random.default_rng(K).normal((-65.0, 41.8), 0.1, (600, 2))
+    got = estimator.kmeans_init(X, K, np.random.default_rng(1))
+    seeds = estimator.kmeanspp_init(X, K, np.random.default_rng(1)).reshape(K, 2)
+    assert np.allclose(got, _lloyd_reference(X, seeds, steps), rtol=0, atol=1e-12)
+
+
+def test_kmeans_style_starts_at_kmeans_centers_and_falls_back_for_one_component(rng):
+    X = rng.normal(0.0, 1.0, (300, 2))
+    opts = FitOptions(restarts=3, seed=4, init_style="kmeans")
+    starts = estimator.initial_points(IsotropicGMM(d=2, K=2, sigma2=1.0), X, opts)
+    seeds = np.random.default_rng(4)
+    assert all(np.array_equal(s, estimator.kmeans_init(X, 2, seeds)) for s in starts)
+    jitter = estimator.initial_points(GaussianMean(2), X, replace(opts, init_style="mean_jitter"))
+    assert np.array_equal(estimator.initial_points(GaussianMean(2), X, opts), jitter)
 
 
 def test_fit_empty_dataset():
