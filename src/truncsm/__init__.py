@@ -25,8 +25,6 @@ from .estimator import (
     fit,
     ibp_identity_check,
     match_centers,
-    objective,
-    objective_grad,
 )
 from .geometry import (
     Box,
@@ -57,7 +55,7 @@ from .geometry import (
     template_domain,
     unit_square,
 )
-from .models import GaussianMean, IsotropicGMM, ScoreEval, fd_check, score_eval
+from .models import GaussianMean, IsotropicGMM
 from .optim import MinimizeResult, minimize_qn
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimator import EstimatorError, FitOptions, FitReport, _run_restarts, initial_points
+from .estimator import EstimatorError, FitOptions, FitReport, _points, _run_restarts
 from .geometry import bounding_box, contains_batch
 from .models import _softmax_lse
 from .optim import CONVERGED, MAX_ITERATIONS, MinimizeResult, minimize_qn
@@ -62,9 +62,7 @@ def fit_rjmle(family, dataset, domain, n_particles: int,
               normalizer: Optional[NormalizerEstimate] = None) -> FitReport:
     """Maximize mean log pbar(x_i) - log Zhat(theta) over theta."""
     opts = opts or FitOptions()
-    X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
-    if len(X) == 0:
-        raise EstimatorError("empty dataset")
+    X = _points(dataset)
     est = normalizer or make_normalizer(domain, n_particles, seed=opts.seed)
     evals_before = est.eval_count
     mean = np.full(len(X), 1.0 / len(X))
@@ -75,11 +73,10 @@ def fit_rjmle(family, dataset, domain, n_particles: int,
         g = -(family.grad_logp_batch(theta, X, mean) - grad_log_z)
         return f, g
 
-    with family.memoized():
-        rep = _run_restarts(
-            lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
-            initial_points(family, X, opts),
-            diagnostics={"n": len(X), "n_particles": len(est.particles)})
+    rep = _run_restarts(
+        family, X, opts,
+        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
+        n_particles=len(est.particles))
     rep.normalizer_eval_count = est.eval_count - evals_before
     return rep
 
@@ -89,14 +86,10 @@ def fit_mle_untruncated(family, dataset, opts: Optional[FitOptions] = None) -> F
     weights (for K = 1 every responsibility is 1, so one step gives the
     sample mean)."""
     opts = opts or FitOptions()
-    X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
-    if len(X) == 0:
-        raise EstimatorError("empty dataset")
-    with family.memoized():
-        return _run_restarts(
-            lambda theta0: _em_fixed_variance(family, X, theta0, tol=1e-8,
-                                              max_iters=opts.max_iters),
-            initial_points(family, X, opts), diagnostics={"n": len(X)})
+    X = _points(dataset)
+    return _run_restarts(
+        family, X, opts,
+        lambda theta0: _em_fixed_variance(family, X, theta0, tol=1e-8, max_iters=opts.max_iters))
 
 
 def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int) -> MinimizeResult:

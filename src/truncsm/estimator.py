@@ -34,7 +34,7 @@ class FitOptions:
     max_iters: int = 500
     restarts: int = 1
     seed: int = 0
-    init: Optional[np.ndarray] = None
+    init: Optional[np.ndarray] = None  # (restarts, r) start points, one row per restart
     init_style: str = "mean_jitter"  # one of INIT_STYLES
 
 
@@ -44,7 +44,6 @@ class FitReport:
     objective_trace: list            # (iteration, value, grad norm)
     status: str
     restarts: list = field(default_factory=list)  # optim.MinimizeResult per restart
-    weight_eval_count: Optional[int] = None
     normalizer_eval_count: Optional[int] = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -68,14 +67,6 @@ def objective_and_grad(family, theta, X, weights: WeightTable):
     grad = family.score_grad_batch(theta, X, 2.0 * (dl * weights.g + weights.dg),
                                    np.repeat(2.0 * weights.g, X.shape[1], axis=1))
     return float(m_sum / len(X)), grad / len(X)
-
-
-def objective(family, theta, X, weights: WeightTable) -> float:
-    return objective_and_grad(family, theta, X, weights)[0]
-
-
-def objective_grad(family, theta, X, weights: WeightTable) -> np.ndarray:
-    return objective_and_grad(family, theta, X, weights)[1]
 
 
 def kmeanspp_init(X, K, rng):
@@ -110,22 +101,23 @@ def kmeans_init(X, K, rng):
 
 
 def initial_points(family, X, opts: FitOptions):
-    """Per-restart initial parameter vectors: `init` jittered, or for a mixture
-    k-means++ seeds or k-means centers, else the data mean jittered."""
+    """Per-restart start points: the rows of `init`, or for a mixture k-means++
+    seeds or k-means centers, else the data mean jittered."""
     if opts.init_style not in INIT_STYLES:
         raise EstimatorError(f"unknown init_style {opts.init_style!r}; use one of "
                              + ", ".join(repr(s) for s in INIT_STYLES))
     if opts.restarts < 1:
         raise EstimatorError(f"restarts must be at least 1, got {opts.restarts}")
+    if opts.init is not None:
+        init = np.array(opts.init, dtype=float)
+        if init.shape != (opts.restarts, family.r):
+            raise EstimatorError(f"init must hold one start point per restart, shape "
+                                 f"{(opts.restarts, family.r)}, got {init.shape}")
+        return list(init)
     rng = np.random.default_rng(opts.seed)
     inits = []
     for _ in range(opts.restarts):
-        if opts.init is not None:
-            base = np.asarray(opts.init, dtype=float).copy()
-            if opts.restarts > 1:
-                base = base + JITTER_SD * rng.standard_normal(family.r)
-            inits.append(base)
-        elif opts.init_style == "kmeans++" and family.K > 1:
+        if opts.init_style == "kmeans++" and family.K > 1:
             inits.append(kmeanspp_init(X, family.K, rng))
         elif opts.init_style == "kmeans" and family.K > 1:
             inits.append(kmeans_init(X, family.K, rng))
@@ -136,32 +128,41 @@ def initial_points(family, X, opts: FitOptions):
     return inits
 
 
-def _run_restarts(solve, inits, **report) -> FitReport:
-    """Solve from every initial point and report the best restart.
+def _points(dataset):
+    """The dataset's points as a float (n, d) array; an empty one is an error."""
+    X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
+    if len(X) == 0:
+        raise EstimatorError("empty dataset")
+    return X
 
-    solve(theta0) returns an optim.MinimizeResult.  A restart whose first
-    line search failed (a one-entry trace) is not usable; among the others the
-    lowest objective wins, the first one on ties.  `report` holds further
-    FitReport fields; the loop's wall time goes to diagnostics["optimize_s"].
+
+def _run_restarts(family, X, opts: FitOptions, solve, **diagnostics) -> FitReport:
+    """Solve from every start point of `initial_points`, with the family's kernel
+    pass kept (`memoized`), and report the best restart.
+
+    solve(theta0) returns an optim.MinimizeResult.  A restart whose first line
+    search failed (a one-entry trace) is not usable; among the others the lowest
+    objective wins, the first one on ties.  The report's diagnostics add n, the
+    best restart's n_obj_evals and the restarts' wall time, optimize_s.
     """
-    t0 = time.perf_counter()
-    results = [solve(theta0) for theta0 in inits]
-    optimize_s = time.perf_counter() - t0
+    inits = initial_points(family, X, opts)
+    with family.memoized():
+        t0 = time.perf_counter()
+        results = [solve(theta0) for theta0 in inits]
+        optimize_s = time.perf_counter() - t0
     usable = [r for r in results
               if r.status != optim.LINE_SEARCH_FAILURE or len(r.trace) > 1]
     if not usable:
         raise EstimatorError("all restarts failed in the line search")
     best = min(usable, key=lambda r: r.fun)
-    rep = FitReport(theta_hat=best.x, objective_trace=best.trace, status=best.status,
-                    restarts=results, **report)
-    rep.diagnostics.update(n_obj_evals=best.n_evals, optimize_s=optimize_s)
-    return rep
+    diagnostics.update(n=len(X), n_obj_evals=best.n_evals, optimize_s=optimize_s)
+    return FitReport(theta_hat=best.x, objective_trace=best.trace, status=best.status,
+                     restarts=results, diagnostics=diagnostics)
 
 
 def fit(family, dataset, domain, weight_spec: WeightSpec,
         opts: Optional[FitOptions] = None) -> FitReport:
-    """Precompute weights once, then minimize the empirical objective; the
-    family keeps its kernel pass while the restarts run (`memoized`), so each
+    """Precompute weights once, then minimize the empirical objective, so each
     evaluation makes one pass over the data.
 
     For K = 1 the score is affine in the mean, the objective is quadratic and
@@ -169,23 +170,19 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
     fit starts there and the optimizer confirms it in one evaluation.
     """
     opts = opts or FitOptions()
-    X = np.asarray(getattr(dataset, "points", dataset), dtype=float)
-    if len(X) == 0:
-        raise EstimatorError("empty dataset")
+    X = _points(dataset)
     weights = distance_batch(domain, weight_spec, X)
     if family.K == 1:
         theta = ((weights.g * X).sum(axis=0) - family.sigma2 * weights.dg.sum(axis=0)) \
             / weights.g.sum()
-        opts = replace(opts, init=theta, restarts=1)
+        opts = replace(opts, init=theta[None, :], restarts=1)
 
     def fg(theta):
         return objective_and_grad(family, theta, X, weights)
 
-    with family.memoized():
-        return _run_restarts(
-            lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
-            initial_points(family, X, opts),
-            weight_eval_count=1, diagnostics={"n": len(X)})
+    return _run_restarts(
+        family, X, opts,
+        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters))
 
 
 def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:

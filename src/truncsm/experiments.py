@@ -251,8 +251,9 @@ def _chicago_real(cfg, seeds, methods, particles, restarts, domain_file, points_
     box = geometry.bounding_box(domain)
     diag = float(np.linalg.norm(box.upper - box.lower))
     # each restart starts at k-means centers: from the data mean, jittered starts
-    # can settle a center between the two clusters
+    # can settle a center between the two clusters; every method gets the same starts
     opts = estimator.FitOptions(restarts=restarts, seed=seed, init_style="kmeans")
+    opts.init = np.array(estimator.initial_points(family, ds.points, opts))
     normalizer = baselines.make_normalizer(domain, particles, seed=seed) \
         if "rjmle" in methods else None
 

@@ -237,9 +237,6 @@ class WeightTable:
     g: np.ndarray   # (n, 1), a column that broadcasts against (n, d) score arrays
     dg: np.ndarray  # (n, d)
 
-    def scaled(self, alpha: float) -> "WeightTable":
-        return WeightTable(g=alpha * self.g, dg=alpha * self.dg)
-
 
 # ---------------------------------------------------------------------------
 # polygon helpers
@@ -373,9 +370,7 @@ def _polygon_contains_batch(V, X):
     px, py = V[:, 0], V[:, 1]
     qx, qy = np.roll(px, 1), np.roll(py, 1)  # edge i runs from vertex i to vertex i-1
     ax, ay = qx - px, qy - py
-    # numpy-scalar powers, as a per-edge expression evaluates them (libm pow);
-    # numpy's vector square can round the last bit differently
-    seg2 = np.array([a ** 2 + b ** 2 for a, b in zip(ax, ay)])
+    seg2 = ax * ax + ay * ay
     edges = (px, py, qy, ax, ay, seg2)
     n, T = len(X), len(V)
     if T < _DENSE_MAX_T:  # one pass per edge over every point: fastest for few edges

@@ -68,9 +68,10 @@ def loop_polygon_contains(V, X):
     for i in range(T):
         px, py = V[i]
         qx, qy = V[j]
-        cross = (qx - px) * (y - py) - (qy - py) * (x - px)
-        dot = (x - px) * (qx - px) + (y - py) * (qy - py)
-        seg2 = (qx - px) ** 2 + (qy - py) ** 2
+        ax, ay = qx - px, qy - py
+        cross = ax * (y - py) - ay * (x - px)
+        dot = (x - px) * ax + (y - py) * ay
+        seg2 = ax * ax + ay * ay
         on_boundary |= (cross == 0.0) & (dot >= 0.0) & (dot <= seg2)
         crosses = ((py > y) != (qy > y))
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,0 +1,112 @@
+"""Test-side helpers over the package's public entry points: the objective
+and its gradient alone, a call counter, a rescaled weight table, and the
+analytic model derivatives at one point checked against central differences.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from truncsm.estimator import objective_and_grad
+from truncsm.geometry import WeightTable
+from truncsm.models import ModelError
+
+
+def objective(family, theta, X, weights: WeightTable) -> float:
+    return objective_and_grad(family, theta, X, weights)[0]
+
+
+def objective_grad(family, theta, X, weights: WeightTable) -> np.ndarray:
+    return objective_and_grad(family, theta, X, weights)[1]
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """Wrap owner.name for the test; each call appends its positional arguments
+    to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or original(*a, **k))
+    return calls
+
+
+def scaled_weights(weights: WeightTable, alpha: float) -> WeightTable:
+    """The weight table of alpha * g."""
+    return WeightTable(g=alpha * weights.g, dg=alpha * weights.dg)
+
+
+@dataclass
+class ScoreEval:
+    dl: np.ndarray        # (d,)   d_k log p
+    d2l: np.ndarray       # (d,)   d_k^2 log p
+    grad_dl: np.ndarray   # (r, d) theta-gradient of dl
+    grad_d2l: np.ndarray  # (r, d) theta-gradient of d2l
+
+
+def score_eval(family, theta, x) -> ScoreEval:
+    """Analytic derivatives of the log model density at one point."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (family.d,):
+        raise ModelError(f"x must have dimension {family.d}")
+    X = x[None, :]
+    dl, d2l = family.score_batch(theta, X)
+    # column k of each (r, d) Jacobian is the VJP with unit cotangent e_k
+    E = np.eye(family.d)[:, None, :]
+    grad_dl = np.column_stack([family.score_grad_batch(theta, X, e, 0 * e) for e in E])
+    grad_d2l = np.column_stack([family.score_grad_batch(theta, X, 0 * e, e) for e in E])
+    out = ScoreEval(dl=dl[0], d2l=d2l[0], grad_dl=grad_dl, grad_d2l=grad_d2l)
+    for arr in (out.dl, out.d2l, out.grad_dl, out.grad_d2l):
+        if not np.all(np.isfinite(arr)):
+            raise ModelError("non-finite derivative; check theta/x magnitudes")
+    return out
+
+
+def _rel_err(approx, exact):
+    # mixed absolute/relative error: near-zero blocks (e.g. one mixture
+    # component taking all responsibility) are compared absolutely, so finite
+    # difference round-off on a ~0 quantity does not blow up the ratio
+    return np.linalg.norm(approx - exact) / (1.0 + np.linalg.norm(exact))
+
+
+def fd_check(family, theta, x, h: float = 1e-5) -> float:
+    """Worst relative error of the analytic derivatives vs central differences."""
+    if h <= 0:
+        raise ModelError("h must be positive")
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    ev = score_eval(family, theta, x)
+    d, r = family.d, family.r
+    errs = []
+
+    # dl vs FD of logp in x
+    fd_dl = np.empty(d)
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        lp = lambda z: family.logp_batch(theta, z[None, :])[0]
+        fd_dl[k] = (lp(x + e) - lp(x - e)) / (2 * h)
+    errs.append(_rel_err(ev.dl, fd_dl))
+
+    # d2l vs FD of dl in x
+    fd_d2l = np.empty(d)
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        dp = family.score_batch(theta, (x + e)[None, :])[0][0, k]
+        dm = family.score_batch(theta, (x - e)[None, :])[0][0, k]
+        fd_d2l[k] = (dp - dm) / (2 * h)
+    errs.append(_rel_err(ev.d2l, fd_d2l))
+
+    # theta-gradients vs FD of dl and d2l in theta
+    fd_gdl = np.empty((r, d))
+    fd_gd2l = np.empty((r, d))
+    for j in range(r):
+        e = np.zeros(r)
+        e[j] = h
+        dlp, d2lp = family.score_batch(theta + e, x[None, :])
+        dlm, d2lm = family.score_batch(theta - e, x[None, :])
+        fd_gdl[j] = (dlp[0] - dlm[0]) / (2 * h)
+        fd_gd2l[j] = (d2lp[0] - d2lm[0]) / (2 * h)
+    errs.append(_rel_err(ev.grad_dl, fd_gdl))
+    errs.append(_rel_err(ev.grad_d2l, fd_gd2l))
+
+    return float(max(errs))

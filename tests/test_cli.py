@@ -237,7 +237,25 @@ def test_chicago_real_restarts_start_at_kmeans_centers(tmp_path, monkeypatch):
                "--domain-file", str(poly), "--sigma", "0.1", "--restarts", "3",
                "--method", "truncsm,mle", "--out", str(tmp_path / "chi.csv")])
     assert rc == 0
-    assert len(starts) == 2 * 3  # methods * restarts
+    assert len(starts) == 3  # one per restart, shared by every method
+
+
+def test_chicago_real_methods_share_one_set_of_starts(tmp_path, monkeypatch):
+    from truncsm import estimator
+
+    starts = []
+    initial = estimator.initial_points
+    monkeypatch.setattr(estimator, "initial_points",
+                        lambda *a: starts.append(np.array(initial(*a))) or list(starts[-1]))
+    csv, poly = city_files(tmp_path)
+    rc = main(["--experiment", "chicago", "--seeds", "0", "--points-file", str(csv),
+               "--domain-file", str(poly), "--sigma", "0.1", "--restarts", "3",
+               "--particles", "2000", "--out", str(tmp_path / "chi.csv")])
+    assert rc == 0
+    # the driver's k-means starts, then the starts of truncsm, rjmle and mle
+    assert len(starts) == 1 + 3
+    assert starts[0].shape == (3, 4)
+    assert all(np.array_equal(s, starts[0]) for s in starts[1:])
 
 
 @pytest.mark.parametrize("path", ["gmm-polygon", "synthetic", "real"])

@@ -13,9 +13,7 @@ from truncsm.estimator import (
     fit,
     ibp_identity_check,
     match_centers,
-    objective,
     objective_and_grad,
-    objective_grad,
 )
 from truncsm.geometry import (
     L1,
@@ -32,6 +30,7 @@ from truncsm.optim import minimize_qn
 
 from conftest import interior_points
 from oracles import SCALES, fd_gradient
+from support import counted, objective, objective_grad, scaled_weights
 
 EUCL = WeightSpec(metric=Euclidean())
 
@@ -69,7 +68,7 @@ def test_objective_weight_scaling_linearity(rng):
     theta = rng.standard_normal(2)
     base = objective(fam, theta, X, w)
     for alpha in (0.5, 2.0, 10.0):
-        scaled = objective(fam, theta, X, w.scaled(alpha))
+        scaled = objective(fam, theta, X, scaled_weights(w, alpha))
         assert scaled == pytest.approx(alpha * base, rel=1e-12)
 
 
@@ -123,28 +122,26 @@ def test_grad_vs_fd(family, r, rng):
 # fit
 
 
-def test_fit_gaussian_consistency():
+def test_fit_gaussian_consistency(monkeypatch):
     from truncsm import data
 
     fam = GaussianMean(2)
     ds = data.sample_truncated_n(fam, np.array([0.5, 0.5]), unit_square(),
                                  5000, seed=0)
+    calls = counted(monkeypatch, estimator, "distance_batch")
     rep = fit(fam, ds, unit_square(), EUCL)
     assert np.linalg.norm(rep.theta_hat - [0.5, 0.5]) < 0.15
-    assert rep.weight_eval_count == 1
+    assert len(calls) == 1
     assert rep.status == "converged"
 
 
 def test_fit_computes_weights_once(monkeypatch):
-    calls = []
-    weigh = estimator.distance_batch
-    monkeypatch.setattr(estimator, "distance_batch",
-                        lambda *a, **k: calls.append(1) or weigh(*a, **k))
+    calls = counted(monkeypatch, estimator, "distance_batch")
     X = interior_points(unit_square(), 300, seed=4)
     rep = fit(IsotropicGMM(d=2, K=2, sigma2=0.5), X, unit_square(), EUCL,
               FitOptions(restarts=5, seed=0))
     assert len(rep.restarts) == 5
-    assert len(calls) == 1 == rep.weight_eval_count
+    assert len(calls) == 1
 
 
 ELLIPSE_SIGMA = np.array([[1.0, -0.9], [-0.9, 1.0]])
@@ -322,6 +319,30 @@ def test_kmeans_style_starts_at_kmeans_centers_and_falls_back_for_one_component(
     assert np.array_equal(estimator.initial_points(GaussianMean(2), X, opts), jitter)
 
 
+def test_init_rows_are_the_start_points(rng):
+    X = rng.normal(0.0, 1.0, (100, 2))
+    init = rng.normal(0.0, 1.0, (3, 4))
+    opts = FitOptions(restarts=3, init=init, init_style="kmeans")
+    starts = estimator.initial_points(IsotropicGMM(d=2, K=2, sigma2=1.0), X, opts)
+    assert len(starts) == 3
+    assert all(np.array_equal(s, row) for s, row in zip(starts, init))
+
+
+@pytest.mark.parametrize("fitter", ["fit", "fit_rjmle", "fit_mle_untruncated"])
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (3, 2)])
+def test_init_of_the_wrong_shape_is_an_error_naming_both_shapes(rng, fitter, shape):
+    from truncsm import baselines
+
+    fam = IsotropicGMM(d=2, K=2, sigma2=1.0)
+    X = rng.uniform(0.1, 0.9, size=(50, 2))
+    opts = FitOptions(restarts=3, init=np.zeros(shape))
+    call = {"fit": lambda: fit(fam, X, unit_square(), EUCL, opts),
+            "fit_rjmle": lambda: baselines.fit_rjmle(fam, X, unit_square(), 100, opts),
+            "fit_mle_untruncated": lambda: baselines.fit_mle_untruncated(fam, X, opts)}
+    with pytest.raises(EstimatorError, match=re.escape(f"shape (3, 4), got {shape}")):
+        call[fitter]()
+
+
 def test_fit_empty_dataset():
     with pytest.raises(EstimatorError):
         fit(GaussianMean(2), np.empty((0, 2)), unit_square(), EUCL)
@@ -363,12 +384,12 @@ def test_scale_invariance_thetahat(rng):
 
     base = minimize_qn(lambda t: objective_and_grad(fam, t, X, w), theta0)
     for alpha in (0.5, 2.0):
-        ws = w.scaled(alpha)
+        ws = scaled_weights(w, alpha)
         res = minimize_qn(lambda t: objective_and_grad(fam, t, X, ws), theta0,
                           tol=alpha * 1e-6)
         # power-of-two rescaling is exact in floating point
         assert np.array_equal(res.x, base.x)
-    ws = w.scaled(10.0)
+    ws = scaled_weights(w, 10.0)
     res = minimize_qn(lambda t: objective_and_grad(fam, t, X, ws), theta0,
                       tol=10.0 * 1e-6)
     assert np.allclose(res.x, base.x, atol=1e-9)
@@ -449,7 +470,7 @@ def test_property_objective_scaling(seed):
     w = WeightTable(g=rng.random((10, 1)), dg=rng.standard_normal((10, 2)))
     theta = rng.standard_normal(2)
     alpha = float(rng.uniform(0.1, 20.0))
-    a = objective(fam, theta, X, w.scaled(alpha))
+    a = objective(fam, theta, X, scaled_weights(w, alpha))
     b = alpha * objective(fam, theta, X, w)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-14)
 

@@ -39,6 +39,7 @@ from oracles import (
     ellipsoid_boundary_points,
     fd_gradient,
 )
+from support import scaled_weights
 
 EUCL = WeightSpec(metric=Euclidean())
 
@@ -665,5 +666,5 @@ def test_hemi_l1_ball_membership_and_facets():
 
 def test_weight_table_scaled():
     t = geometry.WeightTable(g=np.ones((2, 1)), dg=np.full((2, 2), 0.5))
-    s = t.scaled(2.0)
+    s = scaled_weights(t, 2.0)
     assert np.all(s.g == 2.0) and np.all(s.dg == 1.0)

@@ -4,13 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import SCALES, dense_logp, dense_score, dense_score_jacobians
 from truncsm import baselines, data, estimator, geometry, models, presets
-from truncsm.models import (
-    GaussianMean,
-    IsotropicGMM,
-    ModelError,
-    fd_check,
-    score_eval,
-)
+from truncsm.models import GaussianMean, IsotropicGMM, ModelError
+
+from support import fd_check, score_eval
 
 
 def test_constructor_validation():

@@ -103,8 +103,9 @@ def unit_polygon(seed):
     return Polygon(V).vertices
 
 
-# its far vertices have ulp-near points that the edge test puts on an edge only
-# with the squared edge lengths of the per-edge form (libm pow, not a vector square)
+# its far vertices have ulp-near points whose on-edge decision turns on the last
+# bit of the squared edge lengths: libm pow and x * x differ there, so kernel and
+# loop must square the same way (x * x, correctly rounded on every platform)
 POW_WITNESS = [[0.4888307601229725, 0.24645150304013486], [-0.2560446325962844, -0.407565477884959],
                [-0.3778723346971694, -1.1100866283955177], [0.38964340569941236, -1.5644143624078586]]
 
