@@ -12,10 +12,8 @@ from .data import (
     Dataset,
     clip_to_domain,
     load_points_csv,
-    read_dataset,
     sample_truncated,
     sample_truncated_n,
-    write_dataset,
 )
 from .estimator import (
     EstimatorError,
@@ -44,14 +42,10 @@ from .geometry import (
     WeightSpec,
     WeightTable,
     bounding_box,
-    contains,
     contains_batch,
-    distance,
     distance_batch,
     hemi_l1_ball,
-    load_halfspaces,
     load_polygon,
-    scale_template,
     template_domain,
     unit_square,
 )

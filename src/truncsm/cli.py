@@ -6,7 +6,7 @@ import argparse
 import sys
 import textwrap
 
-from .experiments import CHICAGO_REAL, DRIVERS, ExperimentConfig, flag, run
+from .experiments import CHICAGO_REAL, DRIVERS, flag, run
 
 
 def _float_list(s):
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = run(ExperimentConfig(**vars(args)))
+        out = run(args)
     except Exception as exc:  # noqa: BLE001 - nonzero exit with a diagnostic
         print(f"error: {exc}", file=sys.stderr)
         return 1

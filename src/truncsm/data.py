@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,27 +44,32 @@ def sample_truncated(family, theta_true, domain, n_generated: int, seed: int) ->
 def sample_truncated_n(family, theta_true, domain, n_keep: int, seed: int,
                        batch: int = 20000, max_batches: int = 10000) -> Dataset:
     """Like sample_truncated but resamples until n_keep points are retained."""
+    def draw(rng):
+        X = family.sample(theta_true, batch, rng)
+        return X, contains_batch(domain, X)
+
+    return _collect(draw, n_keep, batch, max_batches, seed, type(family).__name__)
+
+
+def _collect(draw, n_keep, batch, max_batches, seed, generator) -> Dataset:
+    """Rows kept by draw(rng) -> (X, mask), batch after batch, until n_keep are
+    collected; at most max_batches batches are drawn."""
     if n_keep < 1:
         raise DataError("n_keep must be >= 1")
     rng = np.random.default_rng(seed)
-    kept = []
-    generated = 0
-    total = 0
+    kept, total, generated = [], 0, 0
     for _ in range(max_batches):
-        X = family.sample(theta_true, batch, rng)
+        X, mask = draw(rng)
         generated += batch
-        mask = contains_batch(domain, X)
-        if mask.any():
-            kept.append(X[mask])
-            total += int(mask.sum())
+        kept.append(X[mask])
+        total += len(kept[-1])
         if total >= n_keep:
             break
     else:
-        raise DataError("retention rate too low to collect the requested sample")
-    pts = np.concatenate(kept)[:n_keep]
-    meta = {"seed": seed, "generator": type(family).__name__,
-            "n_generated": generated, "n_kept": n_keep}
-    return Dataset(points=pts, meta=meta)
+        raise DataError(f"acceptance rate {total / generated:.3g} too low to collect "
+                        f"{n_keep} points in {max_batches} batches of {batch}")
+    meta = {"seed": seed, "generator": generator, "n_generated": generated, "n_kept": n_keep}
+    return Dataset(points=np.concatenate(kept)[:n_keep], meta=meta)
 
 
 def load_points_csv(path, lon_col: str, lat_col: str) -> Dataset:
@@ -112,30 +116,6 @@ def clip_to_domain(dataset: Dataset, domain) -> Dataset:
     return Dataset(points=pts, meta=meta)
 
 
-def write_dataset(dataset: Dataset, path) -> None:
-    """Points as CSV plus a JSON metadata sidecar."""
-    path = Path(path)
-    d = dataset.points.shape[1]
-    header = ",".join(f"x{k}" for k in range(d))
-    np.savetxt(path, dataset.points, delimiter=",", header=header,
-               comments="", fmt="%.17g")
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    with open(sidecar, "w") as fh:
-        json.dump(dataset.meta, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
-def read_dataset(path) -> Dataset:
-    path = Path(path)
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    meta = {}
-    if sidecar.exists():
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-    return Dataset(points=pts, meta=meta)
-
-
 def sample_gaussian_in_l1_hemiball(mean, n_keep: int, seed: int,
                                    max_batches: int = 10000) -> Dataset:
     """Exact draws from N(mean, I) truncated to {||x||_1 < 1, x_d > 0}.
@@ -147,34 +127,20 @@ def sample_gaussian_in_l1_hemiball(mean, n_keep: int, seed: int,
     """
     mean = np.asarray(mean, dtype=float)
     d = mean.size
-    rng = np.random.default_rng(seed)
     # the acceptance bound is the Gaussian density at the domain's closest
     # point to the mean; distance from mean to the closed hemi-ball
     m2 = _dist2_to_hemiball(mean)
-    kept = []
-    total = 0
-    generated = 0
     batch = max(4 * n_keep, 1000)
-    for _ in range(max_batches):
+
+    def draw(rng):
         U = _uniform_l1_ball(d, batch, rng)
         U[:, -1] = np.abs(U[:, -1])  # fold onto x_d > 0, still uniform
-        generated += batch
         r2 = ((U - mean) ** 2).sum(axis=1)
         acc = rng.random(batch) < np.exp(-0.5 * (r2 - m2))
         interior = (np.abs(U).sum(axis=1) < 1.0) & (U[:, -1] > 0.0)
-        mask = acc & interior
-        if mask.any():
-            kept.append(U[mask])
-            total += int(mask.sum())
-        if total >= n_keep:
-            break
-    else:
-        raise DataError(f"acceptance rate {total / generated:.3g} too low to collect "
-                        f"{n_keep} points in {max_batches} batches of {batch}")
-    pts = np.concatenate(kept)[:n_keep]
-    meta = {"seed": seed, "generator": "gaussian_l1_hemiball",
-            "n_generated": generated, "n_kept": n_keep}
-    return Dataset(points=pts, meta=meta)
+        return U, acc & interior
+
+    return _collect(draw, n_keep, batch, max_batches, seed, "gaussian_l1_hemiball")
 
 
 def _uniform_l1_ball(d: int, n: int, rng) -> np.ndarray:

@@ -8,6 +8,7 @@ across runs with the same configuration.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import time
@@ -26,30 +27,6 @@ EUCLIDEAN = geometry.WeightSpec(metric=geometry.Euclidean())
 CONSTANT = geometry.WeightSpec(constant=True)
 
 
-@dataclass
-class ExperimentConfig:
-    """The options as given, echoed in the result's `# config=` line.  An
-    empty or None field takes the experiment's paper default from `DRIVERS`,
-    which also names the fields each experiment reads and which take a grid."""
-
-    experiment: str
-    seeds: list = field(default_factory=list)
-    n: list = field(default_factory=list)           # sample size(s)
-    methods: list = field(default_factory=list)
-    cap: list = field(default_factory=list)         # cap grid (c values)
-    particles: list = field(default_factory=list)
-    restarts: Optional[int] = None
-    domain_file: Optional[str] = None
-    points_file: Optional[str] = None
-    sigma: list = field(default_factory=list)
-    b_grid: list = field(default_factory=list)
-    d_grid: list = field(default_factory=list)
-    out: str = "result.csv"
-
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
-
 class ExperimentError(ValueError):
     pass
 
@@ -62,11 +39,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_results(cfg: ExperimentConfig, rows: list, timings: Optional[list] = None):
+def write_results(cfg: argparse.Namespace, rows: list, timings: Optional[list] = None):
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = sorted(rows, key=lambda r: tuple(str(r.get(c, "")) for c in COLUMNS))
-    lines = [f"# schema={SCHEMA}", "# config=" + json.dumps(cfg.as_dict(), sort_keys=True),
+    lines = [f"# schema={SCHEMA}", "# config=" + json.dumps(vars(cfg), sort_keys=True),
              ",".join(COLUMNS)]
     lines += [",".join(_fmt(r.get(c, "")) for c in COLUMNS) for r in rows]
     out.write_text("\n".join(lines) + "\n")
@@ -78,10 +55,6 @@ def write_results(cfg: ExperimentConfig, rows: list, timings: Optional[list] = N
 
 def _params_str(**kv) -> str:
     return ";".join(f"{k}={_fmt(v)}" for k, v in kv.items() if v is not None and v != "")
-
-
-def parse_params(s: str) -> dict:
-    return dict(part.split("=", 1) for part in str(s).split(";") if "=" in part)
 
 
 def _weight_name(spec: geometry.WeightSpec) -> str:
@@ -130,7 +103,7 @@ def _fit(method, family, ds, domain, opts, particles=None, normalizer=None, spec
 class _Sweep:
     """One run's result rows and timings."""
 
-    cfg: ExperimentConfig
+    cfg: argparse.Namespace
     rows: list = field(default_factory=list)
     timings: list = field(default_factory=list)
 
@@ -342,20 +315,21 @@ CHICAGO_REAL = (_chicago_real, {
 
 
 def flag(option: str) -> str:
-    """The command-line flag of an ExperimentConfig field."""
+    """The command-line flag of a parsed option."""
     return "--method" if option == "methods" else "--" + option.replace("_", "-")
 
 
-def run(cfg: ExperimentConfig):
-    """Before any fit, check the given options against the experiment's table and the
-    seeds, sample sizes and particle counts against their least values; then run the
-    driver on the given values or the paper defaults."""
+def run(cfg: argparse.Namespace):
+    """Run the experiment that the parsed command line names.  Before any fit, check
+    the given options against the experiment's table and the seeds, sample sizes and
+    particle counts against their least values; then run the driver on the given
+    values or the paper defaults."""
     if cfg.experiment not in DRIVERS:
         raise ExperimentError(f"unknown experiment {cfg.experiment!r}")
     driver, defaults = CHICAGO_REAL if cfg.experiment == "chicago" and cfg.points_file \
         else DRIVERS[cfg.experiment]
     values = dict(defaults)
-    for option, value in cfg.as_dict().items():
+    for option, value in vars(cfg).items():
         if option in ("experiment", "out") or value in (None, []):
             continue
         if option not in defaults:

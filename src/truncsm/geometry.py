@@ -299,13 +299,6 @@ def _check_simple(V):
 # membership
 
 
-def contains(domain, x) -> bool:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (domain.dim,):
-        raise DimensionMismatchError(f"point of dim {x.shape} vs domain dim {domain.dim}")
-    return bool(contains_batch(domain, x[None, :])[0])
-
-
 def contains_batch(domain, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != domain.dim:
@@ -614,15 +607,6 @@ def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
     return WeightTable(g=g[:, None], dg=grad)
 
 
-def distance(domain, weight: WeightSpec, x):
-    """Weight value and its gradient at a single interior point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (domain.dim,):
-        raise DimensionMismatchError(f"point of dim {x.shape} vs domain dim {domain.dim}")
-    table = distance_batch(domain, weight, x[None, :])
-    return float(table.g[0, 0]), table.dg[0]
-
-
 # ---------------------------------------------------------------------------
 # bounding boxes
 
@@ -669,33 +653,25 @@ def _polytope_bbox(poly: ConvexPolytope) -> Box:
 # vertex templates for the boundary-scaling experiments
 
 
-def scale_template(name: str, b: float):
-    """Vertex sets for the scalable truncation regions.
+def template_domain(name: str, b: float):
+    """The scalable truncation regions.
 
     "square": one square with corners at +-b.
     "disjoint": two rectangles that stay separated by a fixed middle gap.
-    Returns a list of vertex arrays (one per component).
     """
     if b <= 0:
         raise GeometryError("scale factor b must be positive")
     if name == "square":
-        return [np.array([(-b, -b), (-b, b), (b, b), (b, -b)], dtype=float)]
+        return Polygon([(-b, -b), (-b, b), (b, b), (b, -b)])
     if name == "disjoint":
-        rect1 = np.array([(1 - b, 0.5 - b), (1 - b, 0.5), (1 + b, 0.5), (1 + b, 0.5 - b)],
-                         dtype=float)
-        rect2 = np.array([(1 - b, 1.5), (1 - b, 1.5 + b), (1 + b, 1.5 + b), (1 + b, 1.5)],
-                         dtype=float)
-        return [rect1, rect2]
+        return DisjointUnion([
+            Polygon([(1 - b, 0.5 - b), (1 - b, 0.5), (1 + b, 0.5), (1 + b, 0.5 - b)]),
+            Polygon([(1 - b, 1.5), (1 - b, 1.5 + b), (1 + b, 1.5 + b), (1 + b, 1.5)])])
     raise GeometryError(f"unknown template {name!r}")
 
 
-def template_domain(name: str, b: float):
-    parts = [Polygon(v) for v in scale_template(name, b)]
-    return parts[0] if len(parts) == 1 else DisjointUnion(parts)
-
-
 # ---------------------------------------------------------------------------
-# file formats: one vertex or halfspace per line
+# file format: one vertex per line
 
 
 def _read_rows(path):
@@ -718,15 +694,6 @@ def load_polygon(path) -> Polygon:
             raise GeometryError(f"polygon line needs 'x,y': {line!r}")
         verts.append(parts)
     return Polygon(np.array(verts))
-
-
-def load_halfspaces(path) -> ConvexPolytope:
-    hs = []
-    for line, parts in _read_rows(path):
-        if len(parts) < 2:
-            raise GeometryError(f"halfspace line needs 'a_1,..,a_d,b': {line!r}")
-        hs.append(Halfspace(np.array(parts[:-1]), parts[-1]))
-    return ConvexPolytope(hs)
 
 
 def unit_square() -> ConvexPolytope:

@@ -82,8 +82,6 @@ def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500,
                 + rho * (rho * float(y @ Hy) + 1.0) * np.outer(s, s)
         x, f, g = x_try, f_new, g_try
         trace.append((it, f, float(np.linalg.norm(g))))
-    else:
-        status = CONVERGED if np.linalg.norm(g) <= tol else MAX_ITERATIONS
 
     if status == MAX_ITERATIONS and np.linalg.norm(g) <= tol:
         status = CONVERGED

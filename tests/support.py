@@ -1,6 +1,7 @@
 """Test-side helpers over the package's public entry points: the objective
-and its gradient alone, a call counter, a rescaled weight table, and the
-analytic model derivatives at one point checked against central differences.
+and its gradient alone, a call counter, a rescaled weight table, membership
+and weights at one point, a result row's params parsed back, and the analytic
+model derivatives at one point checked against central differences.
 """
 
 from dataclasses import dataclass
@@ -8,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from truncsm.estimator import objective_and_grad
-from truncsm.geometry import WeightTable
+from truncsm.geometry import (DimensionMismatchError, WeightSpec, WeightTable,
+                              contains_batch, distance_batch)
 from truncsm.models import ModelError
 
 
@@ -32,6 +34,26 @@ def counted(monkeypatch, owner, name) -> list:
 def scaled_weights(weights: WeightTable, alpha: float) -> WeightTable:
     """The weight table of alpha * g."""
     return WeightTable(g=alpha * weights.g, dg=alpha * weights.dg)
+
+
+def contains(domain, x) -> bool:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (domain.dim,):
+        raise DimensionMismatchError(f"point of dim {x.shape} vs domain dim {domain.dim}")
+    return bool(contains_batch(domain, x[None, :])[0])
+
+
+def distance(domain, weight: WeightSpec, x):
+    """Weight value and its gradient at a single interior point."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (domain.dim,):
+        raise DimensionMismatchError(f"point of dim {x.shape} vs domain dim {domain.dim}")
+    table = distance_batch(domain, weight, x[None, :])
+    return float(table.g[0, 0]), table.dg[0]
+
+
+def parse_params(s: str) -> dict:
+    return dict(part.split("=", 1) for part in str(s).split(";") if "=" in part)
 
 
 @dataclass

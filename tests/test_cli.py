@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from truncsm.cli import main
-from truncsm.experiments import SCHEMA, parse_params
+from truncsm.experiments import SCHEMA
+
+from support import parse_params
 
 
 def read_rows(path):
@@ -361,10 +363,11 @@ UNREAD = [(name, option) for name, reads in READS.items() for option in FLAGS
 
 
 def test_option_tables_match_the_matrix():
-    from truncsm.experiments import CHICAGO_REAL, DRIVERS, ExperimentConfig
+    from truncsm.cli import build_parser
+    from truncsm.experiments import CHICAGO_REAL, DRIVERS
 
-    assert set(FLAGS) == {f for f in ExperimentConfig.__dataclass_fields__
-                          if f not in ("experiment", "out")}
+    parsed = vars(build_parser().parse_args(["--experiment", "chicago"]))
+    assert set(FLAGS) == set(parsed) - {"experiment", "out"}
     tables = {name: set(defaults) for name, (_, defaults) in DRIVERS.items()}
     tables["chicago-real"] = set(CHICAGO_REAL[1])
     assert tables == READS

@@ -8,11 +8,9 @@ from truncsm.data import (
     Dataset,
     clip_to_domain,
     load_points_csv,
-    read_dataset,
     sample_gaussian_in_l1_hemiball,
     sample_truncated,
     sample_truncated_n,
-    write_dataset,
 )
 from truncsm.geometry import Box, Polygon, contains_batch, hemi_l1_ball, unit_square
 from truncsm.models import GaussianMean
@@ -79,16 +77,6 @@ def test_load_points_csv_missing_columns(tmp_path):
         load_points_csv(p, "longitude", "latitude")
 
 
-def test_dataset_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    ds = Dataset(points=rng.standard_normal((50, 3)), meta={"seed": 0})
-    path = tmp_path / "ds.csv"
-    write_dataset(ds, path)
-    back = read_dataset(path)
-    assert np.allclose(back.points, ds.points, atol=1e-9)
-    assert back.meta["seed"] == 0
-
-
 def test_clip_identity_when_inside():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.05, 0.95, size=(100, 2))
@@ -126,6 +114,22 @@ def test_hemiball_sampler_inside_and_deterministic():
 def test_hemiball_sampler_is_bounded_for_a_far_mean():
     with pytest.raises(DataError, match=r"acceptance rate .* in 3 batches of 1000"):
         sample_gaussian_in_l1_hemiball(np.full(2, 1e6), 10, seed=0, max_batches=3)
+
+
+def test_truncated_n_sampler_is_bounded_for_a_far_mean():
+    with pytest.raises(DataError, match=r"acceptance rate .* in 3 batches of 1000"):
+        sample_truncated_n(GaussianMean(2), np.full(2, 1e6), unit_square(), 10, seed=0,
+                           batch=1000, max_batches=3)
+
+
+def test_batch_samplers_repeat_points_and_meta_for_a_seed():
+    draws = [lambda: sample_truncated_n(GaussianMean(2), np.array([0.5, 0.5]), unit_square(),
+                                        300, seed=3, batch=100),
+             lambda: sample_gaussian_in_l1_hemiball(np.full(3, 0.5), 300, seed=3)]
+    for draw in draws:
+        a, b = draw(), draw()
+        assert np.array_equal(a.points, b.points) and a.meta == b.meta
+        assert a.meta["n_kept"] == a.n == 300 and a.meta["seed"] == 3
 
 
 def test_hemiball_sampler_matches_direct_rejection():

@@ -19,14 +19,10 @@ from truncsm.geometry import (
     UnsupportedPairingError,
     WeightSpec,
     bounding_box,
-    contains,
     contains_batch,
-    distance,
     distance_batch,
     hemi_l1_ball,
-    load_halfspaces,
     load_polygon,
-    scale_template,
     template_domain,
     unit_square,
 )
@@ -39,7 +35,7 @@ from oracles import (
     ellipsoid_boundary_points,
     fd_gradient,
 )
-from support import scaled_weights
+from support import contains, distance, scaled_weights
 
 EUCL = WeightSpec(metric=Euclidean())
 
@@ -132,7 +128,8 @@ MALFORMED = {
                    GeometryError, "finite"),
     "text vertex": (lambda tmp: load_polygon(_write(tmp, "0,0\n1,x\n0,1\n")),
                     GeometryError, "non-numeric"),
-    "mixed halfspace dims": (lambda tmp: load_halfspaces(_write(tmp, "-1,0,0\n1,0,-1\n0,-1,0,0\n")),
+    "mixed halfspace dims": (lambda tmp: ConvexPolytope([Halfspace(np.array([-1.0, 0.0]), 0.0),
+                                                         Halfspace(np.array([0.0, -1.0, 0.0]), 0.0)]),
                              DimensionMismatchError, "mix dimensions"),
     "nan halfspace": (lambda tmp: Halfspace(np.array([np.nan, 1.0]), 0.0), GeometryError, "finite"),
     "positive axis out of range": (lambda tmp: MetricBall(Euclidean(), 1, positive_axes=(5,), dim=2),
@@ -593,18 +590,18 @@ def test_bounding_box_unbounded_raises():
 
 
 def test_square_template_b1():
-    [verts] = scale_template("square", 1.0)
+    verts = template_domain("square", 1.0).vertices
     assert set(map(tuple, verts)) == {(-1, -1), (-1, 1), (1, 1), (1, -1)}
 
 
 def test_disjoint_template_first_rect():
-    rect1, _ = scale_template("disjoint", 0.5)
+    rect1 = template_domain("disjoint", 0.5).components[0].vertices
     assert set(map(tuple, rect1)) == {(0.5, 0), (0.5, 0.5), (1.5, 0.5), (1.5, 0)}
 
 
 def test_square_template_linearity():
-    [v1] = scale_template("square", 1.3)
-    [v2] = scale_template("square", 2.6)
+    v1 = template_domain("square", 1.3).vertices
+    v2 = template_domain("square", 2.6).vertices
     assert np.allclose(2 * np.abs(v1), np.abs(v2))
 
 
@@ -642,13 +639,6 @@ def test_load_polygon_roundtrip(tmp_path):
     p.write_text("0,0\n1,0\n0,1\n")
     poly = load_polygon(p)
     assert poly.vertices.shape == (3, 2)
-
-
-def test_load_halfspaces(tmp_path):
-    p = tmp_path / "hs.txt"
-    p.write_text("-1,0,0\n1,0,-1\n0,-1,0\n0,1,-1\n")
-    poly = load_halfspaces(p)
-    assert contains(poly, np.array([0.5, 0.5]))
 
 
 def test_hemi_l1_ball_membership_and_facets():

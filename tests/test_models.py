@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import SCALES, dense_logp, dense_score, dense_score_jacobians
 from truncsm import baselines, data, estimator, geometry, models, presets
@@ -153,6 +153,7 @@ def test_property_derivatives_match_fd(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.sampled_from([1, 3, 4]),
        st.sampled_from([1, 2, 3]), st.booleans())
+@example(seed=266, K=1, d=1, gaussian=False)  # terms that nearly cancel
 def test_property_score_vjp_matches_dense_jacobians(seed, K, d, gaussian):
     rng = np.random.default_rng(seed)
     fam = GaussianMean(d) if gaussian else IsotropicGMM(d=d, K=K, sigma2=float(rng.uniform(0.3, 3.0)))
@@ -164,7 +165,11 @@ def test_property_score_vjp_matches_dense_jacobians(seed, K, d, gaussian):
     dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + np.einsum("nd,nrd->r", c_d2l, grad_d2l)
     vjp = fam.score_grad_batch(theta, X, c_dl, c_d2l)
     assert vjp.shape == (fam.r,)
-    assert np.linalg.norm(vjp - dense) <= 1e-12 * np.linalg.norm(dense)
+    # the forward-error bound of a sum: relative to the sum of the terms'
+    # magnitudes, since random cotangents can make the sum itself nearly cancel
+    scale = np.einsum("nd,nrd->r", np.abs(c_dl), np.abs(grad_dl)) \
+        + np.einsum("nd,nrd->r", np.abs(c_d2l), np.abs(grad_d2l))
+    assert np.linalg.norm(vjp - dense) <= 1e-12 * np.linalg.norm(scale)
 
 
 def test_sampling_moments(rng):
