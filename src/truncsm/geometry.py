@@ -485,14 +485,16 @@ def _euclid_ellipsoid(M, radius, X):
     """
     w, Q = eigh(0.5 * (M + M.T))
     rho = w / w.max()
-    e = (1.0 - rho) / rho
-    C = np.sqrt(w) / rho * (X @ Q)
+    e = ((1.0 - rho) / rho)[:, None]
+    # feature-major: C is (d, n), so every per-point sum runs over axis 0
+    C = np.ascontiguousarray((np.sqrt(w) / rho * (X @ Q)).T)
+    nonzero = C != 0.0
 
     def m_norm(t):
-        q = np.divide(C, e + t[:, None], out=np.zeros_like(C), where=C != 0.0)
-        return q, np.linalg.norm(q, axis=1)
+        q = np.divide(C, e + t, out=np.zeros_like(C), where=nonzero)
+        return q, np.sqrt((q * q).sum(axis=0))
 
-    t = np.maximum(0.0, np.max(np.abs(C) / radius - e, axis=1))
+    t = np.maximum(0.0, np.max(np.abs(C) / radius - e, axis=0))
     q, N = m_norm(t)
     hard = (t == 0.0) & (N <= radius)
     lo, hi = t.copy(), np.ones_like(t)
@@ -501,19 +503,24 @@ def _euclid_ellipsoid(M, radius, X):
         if not active.any():
             break
         with np.errstate(divide="ignore", invalid="ignore"):
-            tn = t + N * N * (N - radius) / (radius * np.einsum("ij,ij->i", q, q / (e + t[:, None])))
+            tn = t + N * N * (N - radius) / (radius * (q * (q / (e + t))).sum(axis=0))
         tn = np.where((lo <= tn) & (tn <= hi), tn, 0.5 * (lo + hi))
         t = np.where(active, tn, t)
         q, N = m_norm(t)
         lo = np.where(N >= radius, t, lo)
         hi = np.where(N < radius, t, hi)
-    Z = q / np.sqrt(w)  # q = sqrt(w) z at the final t
+    Z = q / np.sqrt(w)[:, None]  # q = sqrt(w) z at the final t
     top = int(np.argmax(w))
-    rest = radius ** 2 - np.sum(w * Z[hard] ** 2, axis=1)
-    Z[hard, top] = np.sqrt(np.maximum(rest, 0.0) / w[top])
-    dvec = -(1.0 - t)[:, None] * rho * Z  # y - z, parallel to M z
-    g = np.linalg.norm(dvec, axis=1)
-    return g, (dvec / g[:, None]) @ Q.T
+    rest = radius ** 2 - (w[:, None] * Z[:, hard] ** 2).sum(axis=0)
+    Z[top, hard] = np.sqrt(np.maximum(rest, 0.0) / w[top])
+    dvec = -(1.0 - t) * rho[:, None] * Z  # y - z, parallel to M z
+    g = np.sqrt((dvec * dvec).sum(axis=0))
+    # a point within rounding of the boundary can end at t = 1, where g = 0:
+    # its gradient is the inward unit normal there
+    normal = -rho[:, None] * Z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = np.where(g > 0.0, dvec / g, normal / np.sqrt((normal * normal).sum(axis=0)))
+    return g, unit.T @ Q.T
 
 
 # ---------------------------------------------------------------------------

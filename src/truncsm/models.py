@@ -47,11 +47,14 @@ class ModelError(ValueError):
 
 def _softmax_lse(a):
     """Softmax and log-sum-exp over axis 0 of a (K, n) array, shifted by the
-    column maximum so neither overflows."""
+    column maximum so neither overflows.  Overwrites `a`: the softmax it
+    returns is `a` itself."""
     amax = a.max(axis=0)
-    e = np.exp(a - amax)
-    s = e.sum(axis=0)
-    return e / s, np.log(s) + amax
+    a -= amax
+    np.exp(a, out=a)
+    s = a.sum(axis=0)
+    a /= s
+    return a, np.log(s) + amax
 
 
 class _Pass(NamedTuple):
@@ -66,7 +69,10 @@ def _kernel(mu, X, sigma2) -> _Pass:
     c = mu.mean(axis=0)
     Yt = np.subtract(X.T, c[:, None], order="C")
     M = mu - c
-    W, lse = _softmax_lse((M @ Yt - 0.5 * (M * M).sum(axis=1)[:, None]) / sigma2)
+    L = M @ Yt  # the (K, n) logits, then the responsibilities, in place
+    L -= 0.5 * (M * M).sum(axis=1)[:, None]
+    L /= sigma2
+    W, lse = _softmax_lse(L)
     lse -= 0.5 * np.einsum("dn,dn->n", Yt, Yt) / sigma2
     out = _Pass(Yt, M, W, lse)
     for arr in out:

@@ -6,6 +6,7 @@ pointwise distance, so agreement is evidence the closed forms are right.
 """
 
 import numpy as np
+from scipy.linalg import eigh
 
 
 def polygon_boundary_samples(vertices, n_samples):
@@ -219,6 +220,59 @@ def brute_ellipsoid_distance(M, radius, x, rng, n_samples=200_000, rounds=60):
             u, best = U[int(dist.argmin())], float(dist.min())
         width *= 0.7
     return best
+
+
+# The row-major (n, d) form of geometry._euclid_ellipsoid, kept as the
+# reference its feature-major rewrite is checked against: the same cap,
+# tolerance, bracket and hard-case rule.  A point whose solve ends at t = 1
+# gets g = 0 and a NaN gradient here.
+_ROWWISE_MAX_ITER, _ROWWISE_RTOL = 100, 16 * np.finfo(float).eps
+
+
+def rowwise_ellipsoid_distance(M, radius, X):
+    """Euclidean distance from interior points to {z : z^T M z = radius^2}.
+
+    In the eigenbasis y = Q^T x of M (eigenvalues w, rho = w / max w), the
+    nearest point is z = y / (1 - rho + t rho) with t in [0, 1) solving
+    ||z||_M = ||c / (e + t)|| = radius, where c = sqrt(w) y / rho and
+    e = 1 / rho - 1.  1 / ||z||_M is concave in t (More & Sorensen 1983), so
+    batched Newton from the lower bound max(|c| / radius - e) rises to the
+    root; bisection replaces a step that leaves the bracket.  Hard case
+    (Eberly 2013; includes the centre): zero top-eigenspace coordinates and
+    ||z(0)||_M <= radius give t = 0, with the remaining length placed on the
+    first top eigenvector.
+    """
+    w, Q = eigh(0.5 * (M + M.T))
+    rho = w / w.max()
+    e = (1.0 - rho) / rho
+    C = np.sqrt(w) / rho * (X @ Q)
+
+    def m_norm(t):
+        q = np.divide(C, e + t[:, None], out=np.zeros_like(C), where=C != 0.0)
+        return q, np.linalg.norm(q, axis=1)
+
+    t = np.maximum(0.0, np.max(np.abs(C) / radius - e, axis=1))
+    q, N = m_norm(t)
+    hard = (t == 0.0) & (N <= radius)
+    lo, hi = t.copy(), np.ones_like(t)
+    for _ in range(_ROWWISE_MAX_ITER):
+        active = ~hard & (np.abs(N - radius) > _ROWWISE_RTOL * radius)
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tn = t + N * N * (N - radius) / (radius * np.einsum("ij,ij->i", q, q / (e + t[:, None])))
+        tn = np.where((lo <= tn) & (tn <= hi), tn, 0.5 * (lo + hi))
+        t = np.where(active, tn, t)
+        q, N = m_norm(t)
+        lo = np.where(N >= radius, t, lo)
+        hi = np.where(N < radius, t, hi)
+    Z = q / np.sqrt(w)  # q = sqrt(w) z at the final t
+    top = int(np.argmax(w))
+    rest = radius ** 2 - np.sum(w * Z[hard] ** 2, axis=1)
+    Z[hard, top] = np.sqrt(np.maximum(rest, 0.0) / w[top])
+    dvec = -(1.0 - t)[:, None] * rho * Z  # y - z, parallel to M z
+    g = np.linalg.norm(dvec, axis=1)
+    return g, (dvec / g[:, None]) @ Q.T
 
 
 # Model scales as (offset, spread, sigma2): unit spread at the origin;

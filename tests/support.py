@@ -1,7 +1,8 @@
 """Test-side helpers over the package's public entry points: the objective
 and its gradient alone, a call counter, a rescaled weight table, membership
-and weights at one point, a result row's params parsed back, and the analytic
-model derivatives at one point checked against central differences.
+and weights at one point, a result row's params parsed back, the mixture
+kernel in its out-of-place form, and the analytic model derivatives at one
+point checked against central differences.
 """
 
 from dataclasses import dataclass
@@ -54,6 +55,21 @@ def distance(domain, weight: WeightSpec, x):
 
 def parse_params(s: str) -> dict:
     return dict(part.split("=", 1) for part in str(s).split(";") if "=" in part)
+
+
+def outofplace_kernel(mu, X, sigma2):
+    """models._kernel with the logits and softmax built in fresh arrays, the
+    form the in-place kernel must equal bit for bit: (Yt, M, W, lse)."""
+    c = mu.mean(axis=0)
+    Yt = np.subtract(X.T, c[:, None], order="C")
+    M = mu - c
+    a = (M @ Yt - 0.5 * (M * M).sum(axis=1)[:, None]) / sigma2
+    amax = a.max(axis=0)
+    e = np.exp(a - amax)
+    s = e.sum(axis=0)
+    W, lse = e / s, np.log(s) + amax
+    lse -= 0.5 * np.einsum("dn,dn->n", Yt, Yt) / sigma2
+    return Yt, M, W, lse
 
 
 @dataclass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from truncsm import geometry, presets
+from truncsm import estimator, geometry, presets
 from truncsm.geometry import (
     Box,
     ConvexPolytope,
@@ -27,6 +27,8 @@ from truncsm.geometry import (
     unit_square,
 )
 
+from truncsm.models import GaussianMean
+
 from conftest import interior_points
 from oracles import (
     brute_ellipsoid_distance,
@@ -34,6 +36,7 @@ from oracles import (
     brute_polytope_distance,
     ellipsoid_boundary_points,
     fd_gradient,
+    rowwise_ellipsoid_distance,
 )
 from support import contains, distance, scaled_weights
 
@@ -363,6 +366,101 @@ def test_ellipsoid_gradient_vs_fd(maha_weight):
         assert np.allclose(grad, fd, atol=1e-6)
         checked += 1
     assert checked >= len(X) - 2
+
+
+def _random_ellipsoid(rng, d):
+    """M = Q diag(a^-2) Q^T with semi-axes a from 1e-2 to 1e2, and a radius."""
+    a = 10.0 ** rng.uniform(-2.0, 2.0, size=d)
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (Q / a ** 2) @ Q.T, Q, a, rng.uniform(0.5, 2.0)
+
+
+def _ellipsoid_points(rng, Q, a, radius):
+    """Interior points, points 1e-12 to 1e-3 of the way in from the boundary,
+    the centre, and points on every principal axis (the hard case)."""
+    d = len(a)
+    U = rng.standard_normal((300, d))
+    B = radius * (U / np.linalg.norm(U, axis=1, keepdims=True) * a) @ Q.T
+    on_axes = (radius * a * Q)[:, np.arange(40) % d].T * rng.uniform(0.0, 0.99, size=(40, 1))
+    return np.concatenate([B * rng.uniform(0.0, 1.0, size=(300, 1)),
+                           B * (1.0 - 10.0 ** rng.uniform(-12.0, -3.0, size=(300, 1))),
+                           np.zeros((1, d)), on_axes])
+
+
+def _rowwise(M, radius, X):
+    """The row-major solver's g and gradient, and where the gradient is
+    defined: its g = 0 rows (points within rounding of a very thin
+    ellipsoid's boundary) carry NaN, where `_euclid_ellipsoid` gives the
+    inward normal."""
+    with np.errstate(invalid="ignore"):
+        g, dg = rowwise_ellipsoid_distance(M, radius, X)
+    return g, dg, g > 0.0
+
+
+def test_ellipse_solver_equals_rowwise_form_bit_for_bit():
+    # in 2-D every per-point sum has two terms, so the (d, n) layout rounds
+    # exactly as the row-major solver in tests/oracles.py did
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        M, Q, a, radius = _random_ellipsoid(rng, 2)
+        X = _ellipsoid_points(rng, Q, a, radius)
+        g, dg = geometry._euclid_ellipsoid(M, radius, X)
+        g_ref, dg_ref, ok = _rowwise(M, radius, X)
+        assert np.array_equal(g, g_ref) and np.array_equal(dg[ok], dg_ref[ok])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_ellipsoid_solver_near_rowwise_form(d):
+    # from d = 3 on, sums of three or more squares are added in another order:
+    # g agrees to a few ulps of the longest semi-axis, and the unit gradient,
+    # the direction of a vector of length g, to a few ulps of a_max / g
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        M, Q, a, radius = _random_ellipsoid(rng, d)
+        X = _ellipsoid_points(rng, Q, a, radius)
+        g, dg = geometry._euclid_ellipsoid(M, radius, X)
+        g_ref, dg_ref, ok = _rowwise(M, radius, X)
+        scale = radius * a.max()
+        assert np.all(np.abs(g - g_ref) <= 32 * eps * scale)
+        bound = 64 * eps * (1.0 + scale / g_ref[ok])
+        assert np.all(np.abs(dg[ok] - dg_ref[ok]) <= bound[:, None])
+
+
+def test_ellipse_boundary_points_get_the_inward_normal():
+    # on x^2 + 4 y^2 = 1 the solve ends at t = 1 exactly, where g = 0
+    X = np.array([[1.0, 0.0], [0.0, 0.5], [-1.0, 0.0], [0.0, -0.5], [0.5, 0.0]])
+    g, dg = geometry._euclid_ellipsoid(np.diag([1.0, 4.0]), 1.0, X)
+    assert np.array_equal(g[:4], np.zeros(4)) and g[4] > 0.0
+    assert np.allclose(dg[:4], -np.sign(X[:4]), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9])
+def test_points_a_rounding_inside_the_ellipse_get_finite_weights(rho):
+    # a batch (a one-row X @ Q rounds differently) of the floats next to the
+    # boundary on the inside: contains_batch accepts them, some solves end at
+    # t = 1 with g = 0, and their gradient must still be the inward normal
+    sigma = np.array([[1.0, -rho], [-rho, 1.0]])
+    ball = MetricBall(Mahalanobis(sigma), 1.0)
+    t = np.linspace(0.0, 2.0 * np.pi, 200_000, endpoint=False)
+    X = np.nextafter(np.column_stack([np.cos(t), np.sin(t)]) @ np.linalg.cholesky(sigma).T, 0.0)
+    X = X[contains_batch(ball, X)]
+    for spec in (EUCL, WeightSpec(metric=Mahalanobis(sigma))):
+        table = distance_batch(ball, spec, X)
+        g, dg = table.g[:, 0], table.dg
+        assert np.all(g >= 0.0) and np.all(np.isfinite(dg))
+        assert np.all(np.einsum("nd,nd->n", dg, X) < 0.0)  # inward
+        if spec is EUCL:
+            assert np.allclose(np.linalg.norm(dg, axis=1), 1.0, rtol=0.0, atol=1e-12)
+            edge = X[np.argsort(g)[:50]]
+    # a fit on an interior sample plus the 50 points nearest the boundary
+    rng = np.random.default_rng(0)
+    U = rng.standard_normal((400, 2))
+    U *= rng.uniform(0.0, 0.95, size=(400, 1)) / np.linalg.norm(U, axis=1, keepdims=True)
+    points = np.concatenate([U @ np.linalg.cholesky(sigma).T, edge])
+    for spec in (EUCL, WeightSpec(metric=Mahalanobis(sigma))):
+        report = estimator.fit(GaussianMean(2), points, ball, spec)
+        assert np.all(np.isfinite(report.theta_hat))
 
 
 def test_distance_gradient_vs_fd(polygon_preset):

@@ -6,7 +6,7 @@ from oracles import SCALES, dense_logp, dense_score, dense_score_jacobians
 from truncsm import baselines, data, estimator, geometry, models, presets
 from truncsm.models import GaussianMean, IsotropicGMM, ModelError
 
-from support import fd_check, score_eval
+from support import fd_check, outofplace_kernel, score_eval
 
 
 def test_constructor_validation():
@@ -206,6 +206,20 @@ def test_kernel_matches_dense_oracles(scale, K, d):
     grad_dl, grad_d2l = dense_score_jacobians(fam, theta, X)
     dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + np.einsum("nd,nrd->r", c_d2l, grad_d2l)
     assert _rel(fam.score_grad_batch(theta, X, c_dl, c_d2l), dense) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3000])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("K", [1, 2, 4])
+def test_kernel_equals_out_of_place_form_bit_for_bit(K, d, n):
+    # the logits and softmax are written in place; every bit stays
+    rng = np.random.default_rng([K, d, n])
+    mu = 2.0 * rng.standard_normal((K, d))
+    X = 3.0 * rng.standard_normal((n, d))
+    got = models._kernel(mu, X, 0.7)
+    for name, a, b in zip(models._Pass._fields, got, outofplace_kernel(mu, X, 0.7)):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+        assert not a.flags.writeable, name
 
 
 @pytest.mark.parametrize("K, d", [(1, 2), (4, 2), (3, 8)])
