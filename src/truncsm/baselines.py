@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import EstimatorError, FitOptions, FitReport, _points, _run_restarts
 from .geometry import bounding_box, contains_batch
-from .models import _softmax_lse
+from .models import _softmax
 from .optim import CONVERGED, MAX_ITERATIONS, MinimizeResult, minimize_qn
 
 
@@ -47,8 +47,8 @@ def estimate_log_z(family, theta, est: NormalizerEstimate):
     from one pass over the inside particles, stabilized in log space."""
     est.eval_count += 1
     lp = family.logp_batch(theta, est.inside)
-    w, lse = _softmax_lse(lp[:, None])
-    log_z = float(np.log(est.box_volume) + lse[0] - np.log(len(est.particles)))
+    w, amax, s = _softmax(lp[:, None])
+    log_z = float(np.log(est.box_volume) + (np.log(s) + amax)[0] - np.log(len(est.particles)))
     return log_z, family.grad_logp_batch(theta, est.inside, w[:, 0])
 
 

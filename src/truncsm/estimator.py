@@ -59,13 +59,16 @@ def _check_shapes(X, weights: WeightTable):
 
 
 def objective_and_grad(family, theta, X, weights: WeightTable):
-    """Objective and its theta-gradient from one score pass and one VJP."""
+    """Objective and its theta-gradient from one score pass and one VJP, in
+    feature-major layout: (d, n) scores and dg, and g a (1, n) row."""
     X = _check_shapes(X, weights)
     dl, d2l = family.score_batch(theta, X)
-    m_sum = ((dl * dl + 2.0 * d2l) * weights.g + 2.0 * dl * weights.dg).sum()
-    # dm/d(dl) = 2 (dl g + dg), dm/d(d2l) = 2 g, repeated: each VJP GEMM would copy a view
-    grad = family.score_grad_batch(theta, X, 2.0 * (dl * weights.g + weights.dg),
-                                   np.repeat(2.0 * weights.g, X.shape[1], axis=1))
+    dl, d2l, g, dg = dl.T, d2l.T, weights.g.T, weights.dg.T  # contiguous from distance_batch
+    m_sum = ((dl * dl + 2.0 * d2l) * g + 2.0 * dl * dg).sum()
+    # dm/d(dl) = 2 (dl g + dg), dm/d(d2l) = 2 g, repeated: the VJP gets (n, d)
+    # views of contiguous (d, n) arrays, and its GEMMs read them without a copy
+    grad = family.score_grad_batch(theta, X, (2.0 * (dl * g + dg)).T,
+                                   np.repeat(2.0 * g, X.shape[1], axis=0).T)
     return float(m_sum / len(X)), grad / len(X)
 
 

@@ -235,7 +235,7 @@ class WeightTable:
     """Precomputed weights g(x_i) and their gradients, dg[:, k] = d_k g."""
 
     g: np.ndarray   # (n, 1), a column that broadcasts against (n, d) score arrays
-    dg: np.ndarray  # (n, d)
+    dg: np.ndarray  # (n, d); distance_batch stores it feature-major (Fortran order)
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +604,14 @@ def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
     if not np.all(inside):
         raise OutsideDomainError(f"point {int(np.argmin(inside))} is outside the domain")
     if weight.constant:
-        return WeightTable(g=np.ones((n, 1)), dg=np.zeros((n, d)))
+        return WeightTable(g=np.ones((n, 1)), dg=np.zeros((n, d), order="F"))
     g, grad = _raw_distance_batch(domain, weight.metric, X, label)
     if weight.cap is not None:
         c = weight.cap
         capped = c * g >= 1.0  # the kink itself takes the capped (zero-grad) branch
         g = np.where(capped, 1.0, c * g)
         grad = np.where(capped[:, None], 0.0, c * grad)
-    return WeightTable(g=g[:, None], dg=grad)
+    return WeightTable(g=g[:, None], dg=np.asfortranarray(grad))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ reduction runs along contiguous memory.  With c the mean of the centres,
 Yt = X^T - c (d, n) and M = mu - c (K, d), |x - mu_j|^2 = |y|^2 - 2 m_j.y
 + |m_j|^2, so the log weights are the one (K, d) x (d, n) product
 (M Yt - |m|^2 / 2) / sigma2; |y|^2 enters only the log-sum-exp.  The pass
-returns Yt, M, the (K, n) responsibilities W and the log-sum-exp, whose max,
-exp, sum and log run over axis 0, and every derivative is a further
-(d, K) x (K, n) product: no (n, K, d) array is built.  The public shapes
+returns Yt, M, the (K, n) responsibilities W and the softmax's column maxima
+and sums, whose max, exp and sum run over axis 0; only `logp_batch` forms the
+log-sum-exp from them.  Every derivative is a further (d, K) x (K, n)
+product: no (n, K, d) array is built.  The public shapes
 stay point-major: score_batch returns (n, d) (transposed views) and
 responsibilities an (n, K) copy.  Centring on the current centres keeps
 coordinates far from the origin (longitude/latitude near (-66, 42) with
@@ -45,23 +46,25 @@ class ModelError(ValueError):
     pass
 
 
-def _softmax_lse(a):
-    """Softmax and log-sum-exp over axis 0 of a (K, n) array, shifted by the
-    column maximum so neither overflows.  Overwrites `a`: the softmax it
-    returns is `a` itself."""
+def _softmax(a):
+    """Softmax over axis 0 of a (K, n) array, shifted by the column maximum so
+    it cannot overflow; returns (softmax, column maxima, column sums), with
+    log-sum-exp log(sums) + maxima.  Overwrites `a`: the softmax it returns
+    is `a` itself."""
     amax = a.max(axis=0)
     a -= amax
     np.exp(a, out=a)
     s = a.sum(axis=0)
     a /= s
-    return a, np.log(s) + amax
+    return a, amax, s
 
 
 class _Pass(NamedTuple):
-    Yt: np.ndarray   # (d, n) points less the mean of the centres, transposed
-    M: np.ndarray    # (K, d) centres less the same point
-    W: np.ndarray    # (K, n) responsibilities
-    lse: np.ndarray  # (n,)   log sum_j exp(-|x - mu_j|^2 / (2 sigma2))
+    Yt: np.ndarray    # (d, n) points less the mean of the centres, transposed
+    M: np.ndarray     # (K, d) centres less the same point
+    W: np.ndarray     # (K, n) responsibilities
+    amax: np.ndarray  # (n,)   the largest logit of each point
+    s: np.ndarray     # (n,)   sum_j exp(logit_j - amax)
 
 
 def _kernel(mu, X, sigma2) -> _Pass:
@@ -72,9 +75,7 @@ def _kernel(mu, X, sigma2) -> _Pass:
     L = M @ Yt  # the (K, n) logits, then the responsibilities, in place
     L -= 0.5 * (M * M).sum(axis=1)[:, None]
     L /= sigma2
-    W, lse = _softmax_lse(L)
-    lse -= 0.5 * np.einsum("dn,dn->n", Yt, Yt) / sigma2
-    out = _Pass(Yt, M, W, lse)
+    out = _Pass(Yt, M, *_softmax(L))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -131,15 +132,19 @@ class IsotropicGMM:
         return self._pass(theta, X).W.T.copy()
 
     def logp_batch(self, theta, X):
+        k = self._pass(theta, X)
+        # log sum_j exp(-|x - mu_j|^2 / (2 sigma2)), then the normalizer
+        lse = np.log(k.s) + k.amax
+        lse -= 0.5 * np.einsum("dn,dn->n", k.Yt, k.Yt) / self.sigma2
         const = -0.5 * self.d * np.log(2.0 * np.pi * self.sigma2) - np.log(self.K)
-        return self._pass(theta, X).lse + const
+        return lse + const
 
     def grad_logp_batch(self, theta, X, w):
         """sum_n w_n grad_theta log p(x_n), as an (r,) vector."""
         k = self._pass(theta, X)
         w = np.asarray(w, dtype=float)
-        if w.shape != k.lse.shape:
-            raise ModelError(f"w must be a vector of length {len(k.lse)}")
+        if w.shape != k.s.shape:
+            raise ModelError(f"w must be a vector of length {len(k.s)}")
         # d log p / d mu_j = W_j (x - mu_j) / sigma2 = W_j (y - m_j) / sigma2
         Ww = k.W * w
         G = Ww @ k.Yt.T - Ww.sum(axis=1)[:, None] * k.M
@@ -152,8 +157,12 @@ class IsotropicGMM:
         WM = k.M.T @ k.W
         # dl = sum_j W_j (mu_j - x) / sigma2; d2l is the W-variance of the
         # centres over sigma2^2, less 1 / sigma2
-        dl = (WM - k.Yt) / s2
-        d2l = ((k.M * k.M).T @ k.W - WM * WM) / s2 ** 2 - 1.0 / s2
+        dl = WM - k.Yt
+        dl /= s2
+        d2l = (k.M * k.M).T @ k.W
+        d2l -= np.multiply(WM, WM, out=WM)
+        d2l /= s2 ** 2
+        d2l -= 1.0 / s2
         return dl.T, d2l.T
 
     def score_grad_batch(self, theta, X, c_dl, c_d2l):
@@ -173,8 +182,10 @@ class IsotropicGMM:
         Dt = np.asarray(c_d2l, dtype=float).T
         WM, WM2 = M.T @ W, M2.T @ W
         e = Ct - (2.0 / s2) * Dt * WM
-        u = (M @ e + (M2 @ Dt) / s2
-             - ((e * WM).sum(axis=0) + (Dt * WM2).sum(axis=0) / s2)) / s2
+        u = M @ e
+        u += (M2 @ Dt) / s2
+        u -= (e * WM).sum(axis=0) + (Dt * WM2).sum(axis=0) / s2
+        u /= s2
         Wu = W * u
         G = Wu @ k.Yt.T - Wu.sum(axis=1)[:, None] * M + W @ e.T + (2.0 / s2) * M * (W @ Dt.T)
         return (G / s2).reshape(self.r)

@@ -4,6 +4,11 @@ BFGS on the inverse Hessian; the first search direction is the normalized
 steepest descent step and the initial inverse Hessian is rescaled from the
 first accepted step.  Both choices make the iterate sequence invariant to a
 positive rescaling of the objective (exactly so for power-of-two factors).
+
+A run ends `converged` when the gradient norm reaches tol, `line_search_failure`
+when no step length within max_backtracks satisfies the Armijo condition,
+`stalled` when the accepted step rounds away so x + alpha p == x (every later
+iteration would repeat it), and `max_iterations` otherwise.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 LINE_SEARCH_FAILURE = "line_search_failure"
+STALLED = "stalled"
 
 
 @dataclass
@@ -68,6 +74,9 @@ def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500,
             alpha *= backtrack
         if f_new is None:
             status = LINE_SEARCH_FAILURE
+            break
+        if np.array_equal(x_try, x):
+            status = STALLED
             break
 
         s = alpha * p

@@ -1,8 +1,9 @@
 """Test-side helpers over the package's public entry points: the objective
-and its gradient alone, a call counter, a rescaled weight table, membership
-and weights at one point, a result row's params parsed back, the mixture
-kernel in its out-of-place form, and the analytic model derivatives at one
-point checked against central differences.
+and its gradient alone, the objective in its point-major form, a call
+counter, a rescaled weight table, membership and weights at one point, a
+result row's params parsed back, the mixture kernel in its out-of-place form,
+and the analytic model derivatives at one point checked against central
+differences.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,20 @@ def objective(family, theta, X, weights: WeightTable) -> float:
 
 def objective_grad(family, theta, X, weights: WeightTable) -> np.ndarray:
     return objective_and_grad(family, theta, X, weights)[1]
+
+
+def pointmajor_objective_and_grad(family, theta, X, weights: WeightTable):
+    """estimator.objective_and_grad on the (n, d) score views, a C-ordered
+    (n, d) copy of dg and the (n, 1) g column: the gradient the feature-major
+    objective must equal bit for bit.  Returns (objective, gradient, the (n, d)
+    summands of the objective), whose magnitudes bound the rounding of a sum
+    taken in another order."""
+    dl, d2l = family.score_batch(theta, X)
+    g, dg = weights.g, np.ascontiguousarray(weights.dg)
+    terms = (dl * dl + 2.0 * d2l) * g + 2.0 * dl * dg
+    grad = family.score_grad_batch(theta, X, 2.0 * (dl * g + dg),
+                                   np.repeat(2.0 * g, X.shape[1], axis=1))
+    return float(terms.sum() / len(X)), grad / len(X), terms
 
 
 def counted(monkeypatch, owner, name) -> list:

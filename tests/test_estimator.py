@@ -30,7 +30,8 @@ from truncsm.optim import minimize_qn
 
 from conftest import interior_points
 from oracles import SCALES, fd_gradient
-from support import counted, objective, objective_grad, scaled_weights
+from support import (counted, objective, objective_grad, pointmajor_objective_and_grad,
+                     scaled_weights)
 
 EUCL = WeightSpec(metric=Euclidean())
 
@@ -194,20 +195,51 @@ WEIGHT_KINDS = {
 }
 
 
+# The objective is one sum over n * d terms; summed in another order it may
+# differ by a few ulps of the sum of their magnitudes.
+SUM_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _objective_within_rounding(got, want, terms):
+    return abs(got - want) <= SUM_ROUNDING * np.abs(terms).sum() / len(terms)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4])
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
+def test_feature_major_objective_matches_point_major(kind, scale, K):
+    # the weights' gradient is stored feature-major, so the objective reads
+    # it without a copy; its gradient is the point-major one bit for bit
+    make_domain, spec = WEIGHT_KINDS[kind]
+    domain = make_domain()
+    U = interior_points(domain, 400, seed=7)
+    w = geometry.distance_batch(domain, spec, U)
+    assert w.dg.shape == U.shape and w.dg.T.flags.c_contiguous
+    offset, spread, s2 = SCALES[scale]
+    fam = IsotropicGMM(d=2, K=K, sigma2=s2)
+    theta = (offset + spread * np.random.default_rng(K).standard_normal((K, 2))).ravel()
+    X = offset + spread * U
+    got = objective_and_grad(fam, theta, X, w)
+    want, want_grad, terms = pointmajor_objective_and_grad(fam, theta, X, w)
+    assert np.array_equal(got[1], want_grad)
+    assert _objective_within_rounding(got[0], want, terms)
+
+
 def repeated_objective_and_grad(family, theta, X, w):
     """The objective with the weight copied into every coordinate, an (n, d)
-    array that is also the d2l cotangent."""
+    array that is also the d2l cotangent; returns the summands too."""
     G = np.repeat(w.g, X.shape[1], axis=1)
     dl, d2l = family.score_batch(theta, X)
-    m_sum = ((dl * dl + 2.0 * d2l) * G + 2.0 * dl * w.dg).sum()
+    terms = (dl * dl + 2.0 * d2l) * G + 2.0 * dl * w.dg
     grad = family.score_grad_batch(theta, X, 2.0 * (dl * G + w.dg), 2.0 * G)
-    return float(m_sum / len(X)), grad / len(X)
+    return float(terms.sum() / len(X)), grad / len(X), terms
 
 
 @pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
 def test_weight_column_matches_repeated_weights(kind):
-    # g is one column that broadcasts; the objective and gradient are those of
-    # the weight repeated over the d coordinates, bit for bit
+    # g is one column that broadcasts; the gradient is that of the weight
+    # repeated over the d coordinates bit for bit, and the objective the same
+    # up to the order of its sum
     make_domain, spec = WEIGHT_KINDS[kind]
     domain = make_domain()
     U = interior_points(domain, 400, seed=7)
@@ -221,8 +253,9 @@ def test_weight_column_matches_repeated_weights(kind):
             theta = (offset + spread * np.random.default_rng(K).standard_normal((K, 2))).ravel()
             X = offset + spread * U
             got = objective_and_grad(fam, theta, X, w)
-            want = repeated_objective_and_grad(fam, theta, X, w)
-            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            want, want_grad, terms = repeated_objective_and_grad(fam, theta, X, w)
+            assert np.array_equal(got[1], want_grad)
+            assert _objective_within_rounding(got[0], want, terms)
 
 
 def test_fit_constant_weight_huge_box(rng):

@@ -212,14 +212,18 @@ def test_kernel_matches_dense_oracles(scale, K, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 @pytest.mark.parametrize("K", [1, 2, 4])
 def test_kernel_equals_out_of_place_form_bit_for_bit(K, d, n):
-    # the logits and softmax are written in place; every bit stays
+    # the logits and softmax are written in place, and logp_batch forms the
+    # log-sum-exp from the pass; every bit stays
     rng = np.random.default_rng([K, d, n])
     mu = 2.0 * rng.standard_normal((K, d))
     X = 3.0 * rng.standard_normal((n, d))
     got = models._kernel(mu, X, 0.7)
-    for name, a, b in zip(models._Pass._fields, got, outofplace_kernel(mu, X, 0.7)):
+    Yt, M, W, lse = outofplace_kernel(mu, X, 0.7)
+    for name, a, b in zip(("Yt", "M", "W"), got, (Yt, M, W)):
         assert a.shape == b.shape and np.array_equal(a, b), name
-        assert not a.flags.writeable, name
+    assert not any(a.flags.writeable for a in got)
+    const = -0.5 * d * np.log(2.0 * np.pi * 0.7) - np.log(K)
+    assert np.array_equal(IsotropicGMM(d, K, 0.7).logp_batch(mu.ravel(), X), lse + const)
 
 
 @pytest.mark.parametrize("K, d", [(1, 2), (4, 2), (3, 8)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from truncsm.optim import minimize_qn
+from truncsm.optim import STALLED, minimize_qn
 
 
 def quad(A, b):
@@ -55,6 +55,16 @@ def test_line_search_failure_on_nan():
 
     res = minimize_qn(fg, np.zeros(2))
     assert res.status == "line_search_failure"
+
+
+def test_step_that_rounds_away_stalls():
+    # f is flat, so the line search halves the step until the Armijo decrease
+    # rounds to 0; by then x + alpha p rounds to x = 1e8, and the run stops
+    # after that one line search instead of repeating it until max_iters
+    res = minimize_qn(lambda x: (1.0, np.full_like(x, 1e-3)), np.array([1e8]))
+    assert res.status == STALLED
+    assert np.array_equal(res.x, [1e8]) and res.fun == 1.0
+    assert res.n_evals <= 61 and len(res.trace) == 1
 
 
 def test_scale_invariance_power_of_two():
