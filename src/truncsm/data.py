@@ -76,7 +76,8 @@ def load_points_csv(path, lon_col: str, lat_col: str) -> Dataset:
     """Read (lon, lat) columns and project to planar coordinates.
 
     Equirectangular about the data centroid: x = lon * cos(lat0), y = lat.
-    Rows with missing or non-numeric coordinates are skipped and counted.
+    Rows with missing, non-numeric or non-finite coordinates are skipped and
+    counted.
     """
     path = Path(path)
     raw = []
@@ -92,6 +93,9 @@ def load_points_csv(path, lon_col: str, lat_col: str) -> Dataset:
                 lat = float(row[lat_col])
             except (TypeError, ValueError):
                 skipped += 1
+                continue
+            if not (math.isfinite(lon) and math.isfinite(lat)):
+                skipped += 1  # float() parses nan and inf
                 continue
             raw.append((lon, lat))
     if not raw:

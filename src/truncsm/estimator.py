@@ -43,7 +43,8 @@ class FitReport:
     theta_hat: np.ndarray
     objective_trace: list            # (iteration, value, grad norm)
     status: str
-    restarts: list = field(default_factory=list)  # optim.MinimizeResult per restart
+    # optim.MinimizeResult per restart; restarts from equal start points share one
+    restarts: list = field(default_factory=list)
     normalizer_eval_count: Optional[int] = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -140,25 +141,34 @@ def _points(dataset):
 
 
 def _run_restarts(family, X, opts: FitOptions, solve, **diagnostics) -> FitReport:
-    """Solve from every start point of `initial_points`, with the family's kernel
-    pass kept (`memoized`), and report the best restart.
+    """Solve from each distinct start point of `initial_points`, with the family's
+    kernel pass kept (`memoized`), and report the best restart.
 
-    solve(theta0) returns an optim.MinimizeResult.  A restart whose first line
-    search failed (a one-entry trace) is not usable; among the others the lowest
-    objective wins, the first one on ties.  The report's diagnostics add n, the
-    best restart's n_obj_evals and the restarts' wall time, optimize_s.
+    solve(theta0) returns an optim.MinimizeResult; it is deterministic, so start
+    points with equal float64 bytes are solved once and their restarts share
+    that one result object.  A restart whose first line search failed (a
+    one-entry trace) is not usable; among the others the lowest objective wins,
+    the first one on ties.  The report's diagnostics add n, the best restart's
+    n_obj_evals, the number of solves, distinct_starts, and their wall time,
+    optimize_s.
     """
     inits = initial_points(family, X, opts)
+    solved = {}  # start point's bytes -> its result
     with family.memoized():
         t0 = time.perf_counter()
-        results = [solve(theta0) for theta0 in inits]
+        for theta0 in inits:
+            key = theta0.tobytes()
+            if key not in solved:
+                solved[key] = solve(theta0)
         optimize_s = time.perf_counter() - t0
+    results = [solved[theta0.tobytes()] for theta0 in inits]
     usable = [r for r in results
               if r.status != optim.LINE_SEARCH_FAILURE or len(r.trace) > 1]
     if not usable:
         raise EstimatorError("all restarts failed in the line search")
     best = min(usable, key=lambda r: r.fun)
-    diagnostics.update(n=len(X), n_obj_evals=best.n_evals, optimize_s=optimize_s)
+    diagnostics.update(n=len(X), n_obj_evals=best.n_evals, distinct_starts=len(solved),
+                       optimize_s=optimize_s)
     return FitReport(theta_hat=best.x, objective_trace=best.trace, status=best.status,
                      restarts=results, diagnostics=diagnostics)
 

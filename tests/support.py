@@ -1,16 +1,20 @@
 """Test-side helpers over the package's public entry points: the objective
-and its gradient alone, the objective in its point-major form, a call
-counter, a rescaled weight table, membership and weights at one point, a
-result row's params parsed back, the mixture kernel in its out-of-place form,
-and the analytic model derivatives at one point checked against central
-differences.
+and its gradient alone, the objective in its point-major form, the restart
+loop that solves every restart and a check of the one that solves each
+distinct start once, a call counter, a rescaled weight table, membership and
+weights at one point, a result row's params parsed back, the mixture kernel in
+its out-of-place form, and the analytic model derivatives at one point checked
+against central differences.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from truncsm.estimator import objective_and_grad
+from truncsm import optim
+from truncsm.estimator import (EstimatorError, FitReport, initial_points,
+                               objective_and_grad)
 from truncsm.geometry import (DimensionMismatchError, WeightSpec, WeightTable,
                               contains_batch, distance_batch)
 from truncsm.models import ModelError
@@ -36,6 +40,51 @@ def pointmajor_objective_and_grad(family, theta, X, weights: WeightTable):
     grad = family.score_grad_batch(theta, X, 2.0 * (dl * g + dg),
                                    np.repeat(2.0 * g, X.shape[1], axis=1))
     return float(terms.sum() / len(X)), grad / len(X), terms
+
+
+# estimator._run_restarts as it was before equal start points were solved once:
+# the oracle whose result and centers files the shipped loop must reproduce
+def solve_every_restart(family, X, opts, solve, **diagnostics) -> FitReport:
+    """Solve from every start point of `initial_points`, with the family's kernel
+    pass kept (`memoized`), and report the best restart.
+
+    solve(theta0) returns an optim.MinimizeResult.  A restart whose first line
+    search failed (a one-entry trace) is not usable; among the others the lowest
+    objective wins, the first one on ties.  The report's diagnostics add n, the
+    best restart's n_obj_evals and the restarts' wall time, optimize_s.
+    """
+    inits = initial_points(family, X, opts)
+    with family.memoized():
+        t0 = time.perf_counter()
+        results = [solve(theta0) for theta0 in inits]
+        optimize_s = time.perf_counter() - t0
+    usable = [r for r in results
+              if r.status != optim.LINE_SEARCH_FAILURE or len(r.trace) > 1]
+    if not usable:
+        raise EstimatorError("all restarts failed in the line search")
+    best = min(usable, key=lambda r: r.fun)
+    diagnostics.update(n=len(X), n_obj_evals=best.n_evals, optimize_s=optimize_s)
+    return FitReport(theta_hat=best.x, objective_trace=best.trace, status=best.status,
+                     restarts=results, diagnostics=diagnostics)
+
+
+def check_equal_starts_solved_once(fit_from, a, b):
+    """fit_from(init) fits from the rows of init and returns (report, solves,
+    objective evaluations).  From [a, b, a, a, b] the fit solves twice, the
+    restarts at equal starts hold one result object, and each result equals,
+    bit for bit, the fit from its start alone."""
+    rep, solves, evals = fit_from(np.array([a, b, a, a, b]))
+    r = rep.restarts
+    assert solves == rep.diagnostics["distinct_starts"] == 2
+    assert r[0] is r[2] is r[3] and r[1] is r[4] and r[0] is not r[1]
+    assert evals == r[0].n_evals + r[1].n_evals
+    for shared, start in ((r[0], a), (r[1], b)):
+        alone = fit_from(np.array([start]))[0].restarts[0]
+        assert shared.x.tobytes() == alone.x.tobytes()
+        assert (shared.fun, shared.status, shared.trace, shared.n_evals) \
+            == (alone.fun, alone.status, alone.trace, alone.n_evals)
+    best = min((r[0], r[1]), key=lambda res: res.fun)
+    assert rep.theta_hat is best.x
 
 
 def counted(monkeypatch, owner, name) -> list:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient
+from support import check_equal_starts_solved_once, counted
 from truncsm import baselines, data, presets
 from truncsm.baselines import (
     estimate_log_z,
@@ -217,6 +218,28 @@ def test_report_keeps_every_restart_and_the_best_one(method):
     assert np.array_equal(rep.theta_hat, best.x)
     assert rep.objective_trace == best.trace
     assert rep.diagnostics["optimize_s"] >= 0.0
+
+
+@pytest.mark.parametrize("method", ["rjmle", "mle"])
+def test_equal_start_points_are_solved_once(method, monkeypatch):
+    rng = np.random.default_rng(0)
+    fam = IsotropicGMM(d=2, K=2, sigma2=0.05)
+    X = rng.uniform(0.1, 0.9, size=(200, 2))
+    est = make_normalizer(unit_square(), 2_000, seed=0)
+    solves = counted(monkeypatch, baselines,
+                     "minimize_qn" if method == "rjmle" else "_em_fixed_variance")
+    # an EM step evaluates the log-likelihood once; an RJ-MLE evaluation, log Zhat once
+    loglik_evals = counted(monkeypatch, fam, "logp_batch")
+
+    def fit_from(init):
+        del solves[:], loglik_evals[:]
+        opts = FitOptions(restarts=len(init), init=init)
+        if method == "rjmle":
+            rep = fit_rjmle(fam, X, unit_square(), 2_000, opts, normalizer=est)
+            return rep, len(solves), rep.normalizer_eval_count
+        return fit_mle_untruncated(fam, X, opts), len(solves), len(loglik_evals)
+
+    check_equal_starts_solved_once(fit_from, [0.3, 0.3, 0.7, 0.7], [0.2, 0.8, 0.8, 0.2])
 
 
 def test_em_recovers_separated_centers():

@@ -4,7 +4,7 @@ import pytest
 from truncsm.cli import main
 from truncsm.experiments import SCHEMA
 
-from support import parse_params
+from support import parse_params, solve_every_restart
 
 
 def read_rows(path):
@@ -258,6 +258,37 @@ def test_chicago_real_methods_share_one_set_of_starts(tmp_path, monkeypatch):
     assert len(starts) == 1 + 3
     assert starts[0].shape == (3, 4)
     assert all(np.array_equal(s, starts[0]) for s in starts[1:])
+
+
+def test_chicago_files_match_the_loop_that_solves_every_restart(tmp_path, monkeypatch):
+    from truncsm import baselines, estimator
+
+    csv, poly = city_files(tmp_path)
+
+    def files(name):
+        out = tmp_path / name / "chi.csv"
+        out.parent.mkdir()
+        rc = main(["--experiment", "chicago", "--seeds", "0", "--points-file", str(csv),
+                   "--domain-file", str(poly), "--sigma", "0.1", "--restarts", "5",
+                   "--particles", "2000", "--out", str(out)])
+        assert rc == 0
+        return (out.read_text().replace(str(out), "<out>"),
+                out.with_suffix(".centers.csv").read_text())
+
+    reports = []
+    run_restarts = estimator._run_restarts
+    with monkeypatch.context() as m:
+        for owner in (estimator, baselines):
+            m.setattr(owner, "_run_restarts",
+                      lambda *a, **k: reports.append(run_restarts(*a, **k)) or reports[-1])
+        shipped = files("shipped")
+    for owner in (estimator, baselines):
+        monkeypatch.setattr(owner, "_run_restarts", solve_every_restart)
+    oracle = files("oracle")
+    # truncsm, rjmle and mle, each from the same starts; some of them equal
+    assert [len(rep.restarts) for rep in reports] == [5, 5, 5]
+    assert all(rep.diagnostics["distinct_starts"] < 5 for rep in reports)
+    assert shipped == oracle
 
 
 @pytest.mark.parametrize("path", ["gmm-polygon", "synthetic", "real"])

@@ -63,6 +63,17 @@ def test_load_points_csv_skips_malformed(tmp_path):
     assert ds.meta["projection"] == "equirectangular"
 
 
+def test_load_points_csv_skips_non_finite(tmp_path):
+    # float() parses both; one nan latitude would make lat0, and so every x, nan
+    p = tmp_path / "pts.csv"
+    p.write_text("longitude,latitude\n-87.6,41.8\n-87.65,nan\ninf,41.85\n-87.7,41.9\n")
+    ds = load_points_csv(p, "longitude", "latitude")
+    assert ds.n == 2
+    assert ds.meta["skipped"] == 2
+    assert ds.meta["lat0"] == pytest.approx(41.85)
+    assert np.all(np.isfinite(ds.points))
+
+
 def test_load_points_csv_header_only(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("longitude,latitude\n")

@@ -30,8 +30,8 @@ from truncsm.optim import minimize_qn
 
 from conftest import interior_points
 from oracles import SCALES, fd_gradient
-from support import (counted, objective, objective_grad, pointmajor_objective_and_grad,
-                     scaled_weights)
+from support import (check_equal_starts_solved_once, counted, objective, objective_grad,
+                     pointmajor_objective_and_grad, scaled_weights)
 
 EUCL = WeightSpec(metric=Euclidean())
 
@@ -359,6 +359,37 @@ def test_init_rows_are_the_start_points(rng):
     starts = estimator.initial_points(IsotropicGMM(d=2, K=2, sigma2=1.0), X, opts)
     assert len(starts) == 3
     assert all(np.array_equal(s, row) for s, row in zip(starts, init))
+
+
+def _fit_counting_solves(monkeypatch, fam, X):
+    """fit_from(init) for check_equal_starts_solved_once: TruncSM fits from the
+    rows of init, counting minimize_qn calls and objective evaluations."""
+    solves = counted(monkeypatch, estimator, "minimize_qn")
+    evals = counted(monkeypatch, estimator, "objective_and_grad")
+
+    def fit_from(init):
+        del solves[:], evals[:]
+        rep = fit(fam, X, unit_square(), EUCL, FitOptions(restarts=len(init), init=init))
+        return rep, len(solves), len(evals)
+
+    return fit_from
+
+
+def test_equal_start_points_are_solved_once(rng, monkeypatch):
+    fam = IsotropicGMM(d=2, K=2, sigma2=0.05)
+    X = rng.uniform(0.1, 0.9, size=(200, 2))
+    check_equal_starts_solved_once(_fit_counting_solves(monkeypatch, fam, X),
+                                   [0.3, 0.3, 0.7, 0.7], [0.2, 0.8, 0.8, 0.2])
+
+
+def test_start_points_of_opposite_zero_sign_are_solved_apart(rng, monkeypatch):
+    # equal as floats, not as bytes: the key is the bytes
+    fam = IsotropicGMM(d=2, K=2, sigma2=0.05)
+    X = rng.uniform(0.1, 0.9, size=(200, 2))
+    rep, solves, _ = _fit_counting_solves(monkeypatch, fam, X)(
+        np.array([[0.0, 0.3, 0.7, 0.7], [-0.0, 0.3, 0.7, 0.7]]))
+    assert solves == rep.diagnostics["distinct_starts"] == 2
+    assert rep.restarts[0] is not rep.restarts[1]
 
 
 @pytest.mark.parametrize("fitter", ["fit", "fit_rjmle", "fit_mle_untruncated"])
