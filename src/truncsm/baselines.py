@@ -18,6 +18,8 @@ from .geometry import bounding_box, contains_batch
 from .models import _softmax
 from .optim import CONVERGED, MAX_ITERATIONS, MinimizeResult, minimize_qn
 
+EM_TOL = 1e-8  # EM stops when the mean log-likelihood moves by at most this
+
 
 @dataclass
 class NormalizerEstimate:
@@ -89,12 +91,12 @@ def fit_mle_untruncated(family, dataset, opts: Optional[FitOptions] = None) -> F
     X = _points(dataset)
     return _run_restarts(
         family, X, opts,
-        lambda theta0: _em_fixed_variance(family, X, theta0, tol=1e-8, max_iters=opts.max_iters))
+        lambda theta0: _em_fixed_variance(family, X, theta0, max_iters=opts.max_iters))
 
 
-def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int) -> MinimizeResult:
-    """EM on the centers; the result's trace is the one entry
-    (iterations, -mean log-likelihood, 0)."""
+def _em_fixed_variance(family, X, theta0, max_iters: int) -> MinimizeResult:
+    """EM on the centers until the mean log-likelihood moves by at most EM_TOL;
+    the result's trace is the one entry (iterations, -mean log-likelihood, 0)."""
     theta = np.asarray(theta0, dtype=float).copy()
     ll = float(family.logp_batch(theta, X).mean())
     it, status = 0, MAX_ITERATIONS
@@ -108,7 +110,7 @@ def _em_fixed_variance(family, X, theta0, tol: float, max_iters: int) -> Minimiz
         mu = np.where((Nk > 0)[:, None], mu, old)
         theta = mu.reshape(-1)
         ll_new = float(family.logp_batch(theta, X).mean())
-        if abs(ll_new - ll) <= tol:
+        if abs(ll_new - ll) <= EM_TOL:
             status = CONVERGED
         ll = ll_new
     return MinimizeResult(x=theta, fun=-ll, status=status, trace=[(it, -ll, 0.0)],

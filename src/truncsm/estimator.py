@@ -2,9 +2,9 @@
 and Monte Carlo divergence diagnostics.
 
 The per-sample estimation function, for the scalar boundary weight g(x), is
-    m(x) = g(x) sum_k [ (d_k l)^2 + 2 d_k^2 l ] + 2 sum_k (d_k l) d_k g(x)
-and the fitted parameter minimizes the sample mean of m.  Weights are
-precomputed once per dataset; they do not depend on the parameter.
+    m(x) = g(x) [ |grad_x l|^2 + 2 lap_x l ] + 2 grad_x g . grad_x l,
+with lap_x l = sum_k d_k^2 l; the fitted parameter minimizes the sample mean
+of m.  Weights are precomputed once per dataset: they do not depend on theta.
 """
 
 from __future__ import annotations
@@ -61,15 +61,14 @@ def _check_shapes(X, weights: WeightTable):
 
 def objective_and_grad(family, theta, X, weights: WeightTable):
     """Objective and its theta-gradient from one score pass and one VJP, in
-    feature-major layout: (d, n) scores and dg, and g a (1, n) row."""
+    feature-major layout: (d, n) score and dg, and (n,) Laplacian and g."""
     X = _check_shapes(X, weights)
-    dl, d2l = family.score_batch(theta, X)
-    dl, d2l, g, dg = dl.T, d2l.T, weights.g.T, weights.dg.T  # contiguous from distance_batch
-    m_sum = ((dl * dl + 2.0 * d2l) * g + 2.0 * dl * dg).sum()
-    # dm/d(dl) = 2 (dl g + dg), dm/d(d2l) = 2 g, repeated: the VJP gets (n, d)
-    # views of contiguous (d, n) arrays, and its GEMMs read them without a copy
-    grad = family.score_grad_batch(theta, X, (2.0 * (dl * g + dg)).T,
-                                   np.repeat(2.0 * g, X.shape[1], axis=0).T)
+    dl, lap = family.score_batch(theta, X)
+    dl, g, dg = dl.T, weights.g[:, 0], weights.dg.T  # contiguous from distance_batch
+    m_sum = ((dl * dl) * g + 2.0 * dl * dg).sum() + 2.0 * (lap @ g)
+    # dm/d(dl) = 2 (dl g + dg), dm/d(lap) = 2 g: the VJP gets an (n, d) view of
+    # a contiguous (d, n) array, and its GEMMs read it without a copy
+    grad = family.score_grad_batch(theta, X, (2.0 * (dl * g + dg)).T, 2.0 * g)
     return float(m_sum / len(X)), grad / len(X)
 
 
@@ -215,16 +214,16 @@ def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:
 def ibp_identity_check(family, theta, X, true_score, weights: WeightTable):
     """Monte Carlo check of the integration-by-parts identity.
 
-    lhs_i = g sum_k (d_k l)(d_k log q),
-    rhs_i = -sum_k [ (d_k g)(d_k l) + g d_k^2 l ].
+    lhs_i = g grad_x l . grad_x log q,
+    rhs_i = -(grad_x g . grad_x l + g lap_x l).
     Returns (lhs, rhs, zscore) with the z-score based on the per-sample
     paired difference.
     """
     X = _check_shapes(X, weights)
-    dl, d2l = family.score_batch(theta, X)
+    dl, lap = family.score_batch(theta, X)
     qs = np.asarray(true_score(X), dtype=float)
     lhs_i = (weights.g * dl * qs).sum(axis=1)
-    rhs_i = -((weights.dg * dl) + (weights.g * d2l)).sum(axis=1)
+    rhs_i = -((weights.dg * dl).sum(axis=1) + weights.g[:, 0] * lap)
     lhs = float(lhs_i.mean())
     rhs = float(rhs_i.mean())
     diff = lhs_i - rhs_i

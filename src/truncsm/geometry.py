@@ -681,8 +681,9 @@ def template_domain(name: str, b: float):
 # file format: one vertex per line
 
 
-def _read_rows(path):
-    """(line, floats) for each non-blank, non-comment line of a comma-separated file."""
+def load_polygon(path) -> Polygon:
+    """The polygon of a comma-separated 'x,y' file; blank and '#' lines are skipped."""
+    verts = []
     with open(path) as fh:
         for line in map(str.strip, fh):
             if not line or line.startswith("#"):
@@ -691,15 +692,9 @@ def _read_rows(path):
                 parts = [float(p) for p in line.split(",")]
             except ValueError:
                 raise GeometryError(f"non-numeric line {line!r} in {path}") from None
-            yield line, parts
-
-
-def load_polygon(path) -> Polygon:
-    verts = []
-    for line, parts in _read_rows(path):
-        if len(parts) != 2:
-            raise GeometryError(f"polygon line needs 'x,y': {line!r}")
-        verts.append(parts)
+            if len(parts) != 2:
+                raise GeometryError(f"polygon line needs 'x,y': {line!r}")
+            verts.append(parts)
     return Polygon(np.array(verts))
 
 

@@ -8,7 +8,7 @@ the closed-form minimizer.  For a flattened parameter vector theta the family
 exposes values and parameter vector-Jacobian products (VJPs):
   - logp_batch:       log density (untruncated normalizer) at each sample
   - grad_logp_batch:  VJP sum_n w_n grad_theta log p(x_n) for sample weights w
-  - score_batch:      per-coordinate first and second input derivatives
+  - score_batch:      the score d_x log p (n, d) and its Laplacian (n,)
   - score_grad_batch: VJP of both with per-sample cotangents
 The normalizing constant over the truncation region is never evaluated.
 
@@ -19,10 +19,10 @@ Yt = X^T - c (d, n) and M = mu - c (K, d), |x - mu_j|^2 = |y|^2 - 2 m_j.y
 (M Yt - |m|^2 / 2) / sigma2; |y|^2 enters only the log-sum-exp.  The pass
 returns Yt, M, the (K, n) responsibilities W and the softmax's column maxima
 and sums, whose max, exp and sum run over axis 0; only `logp_batch` forms the
-log-sum-exp from them.  Every derivative is a further (d, K) x (K, n)
-product: no (n, K, d) array is built.  The public shapes
-stay point-major: score_batch returns (n, d) (transposed views) and
-responsibilities an (n, K) copy.  Centring on the current centres keeps
+log-sum-exp from them.  Every derivative is a further (d, K) x (K, n) or
+(K,) x (K, n) product: no (n, K, d) array is built.  The public shapes stay
+point-major: score_batch returns the (n, d) score as a transposed view
+and responsibilities an (n, K) copy.  Centring on the current centres keeps
 coordinates far from the origin (longitude/latitude near (-66, 42) with
 sigma2 = 0.0064) exact.
 
@@ -151,43 +151,45 @@ class IsotropicGMM:
         return (G / self.sigma2).reshape(self.r)
 
     def score_batch(self, theta, X):
-        """dl and d2l, each (n, d): transposed views of (d, n) arrays."""
+        """The score dl (n, d), a transposed view of a (d, n) array, and its
+        Laplacian lap (n,)."""
         k = self._pass(theta, X)
         s2 = self.sigma2
         WM = k.M.T @ k.W
-        # dl = sum_j W_j (mu_j - x) / sigma2; d2l is the W-variance of the
-        # centres over sigma2^2, less 1 / sigma2
+        # dl = sum_j W_j (mu_j - x) / sigma2; lap is the W-variance of the
+        # centres, summed over coordinates, over sigma2^2, less d / sigma2
         dl = WM - k.Yt
         dl /= s2
-        d2l = (k.M * k.M).T @ k.W
-        d2l -= np.multiply(WM, WM, out=WM)
-        d2l /= s2 ** 2
-        d2l -= 1.0 / s2
-        return dl.T, d2l.T
+        lap = (k.M * k.M).sum(axis=1) @ k.W
+        lap -= np.einsum("dn,dn->n", WM, WM)
+        lap /= s2 ** 2
+        lap -= self.d / s2
+        return dl.T, lap
 
-    def score_grad_batch(self, theta, X, c_dl, c_d2l):
-        # With S_j = (mu_j - x)/sigma2, the dense VJP is
-        # sum_n W_j [-S_jm u_j + (b_m + 2 S_jm c_d2l_m)/sigma2], b = c_dl - 2 c_d2l dl,
-        # u_j = sum_k b_k (S_jk - dl_k) + c_d2l_k (S_jk^2 - sq_k), sq = sum_j W_j S_j^2.
+    def score_grad_batch(self, theta, X, c_dl, c_lap):
+        # With S_j = (mu_j - x)/sigma2 and c = c_lap, the dense VJP is
+        # sum_n W_j [-S_jm u_j + (b_m + 2 S_jm c)/sigma2], b = c_dl - 2 c dl,
+        # u_j = sum_k b_k (S_jk - dl_k) + c (S_jk^2 - sq_k), sq = sum_j W_j S_j^2.
         # In y and m, dl = ((WM) - y)/sigma2 and S_jk - dl_k = (m_jk - (WM)_k)/sigma2;
-        # the y terms of S_jk^2 - sq_k and of 2 S c_d2l join b as
-        # e = b - 2 c_d2l y/sigma2 = c_dl - 2 c_d2l (WM)/sigma2, which leaves
-        # (K, d) x (d, n) products only.  Everything below is feature-major:
-        # Ct and Dt are the (d, n) cotangents, WM and e are (d, n), u is (K, n).
+        # the y terms of S_jk^2 - sq_k and of 2 S c join b as
+        # e = b - 2 c y/sigma2 = c_dl - 2 c (WM)/sigma2.  Summed over k, the
+        # m_jk^2 terms give |m_j|^2 c and the W-mean of |m|^2, which leaves
+        # (K, d) x (d, n) products and rank-one terms only.  Everything below
+        # is feature-major: Ct, WM and e are (d, n), c is (n,), u is (K, n).
         k = self._pass(theta, X)
         s2 = self.sigma2
         W, M = k.W, k.M
-        M2 = M * M
+        m2 = (M * M).sum(axis=1)
         Ct = np.asarray(c_dl, dtype=float).T
-        Dt = np.asarray(c_d2l, dtype=float).T
-        WM, WM2 = M.T @ W, M2.T @ W
-        e = Ct - (2.0 / s2) * Dt * WM
+        c = np.asarray(c_lap, dtype=float)
+        WM = M.T @ W
+        e = Ct - (2.0 / s2) * c * WM
         u = M @ e
-        u += (M2 @ Dt) / s2
-        u -= (e * WM).sum(axis=0) + (Dt * WM2).sum(axis=0) / s2
+        u += np.outer(m2, c / s2)
+        u -= (e * WM).sum(axis=0) + c * (m2 @ W) / s2
         u /= s2
         Wu = W * u
-        G = Wu @ k.Yt.T - Wu.sum(axis=1)[:, None] * M + W @ e.T + (2.0 / s2) * M * (W @ Dt.T)
+        G = Wu @ k.Yt.T - Wu.sum(axis=1)[:, None] * M + W @ e.T + (2.0 / s2) * M * (W @ c)[:, None]
         return (G / s2).reshape(self.r)
 
     def sample(self, theta, n, rng):

@@ -6,7 +6,7 @@ first accepted step.  Both choices make the iterate sequence invariant to a
 positive rescaling of the objective (exactly so for power-of-two factors).
 
 A run ends `converged` when the gradient norm reaches tol, `line_search_failure`
-when no step length within max_backtracks satisfies the Armijo condition,
+when none of MAX_BACKTRACKS step lengths satisfies the Armijo condition,
 `stalled` when the accepted step rounds away so x + alpha p == x (every later
 iteration would repeat it), and `max_iterations` otherwise.
 """
@@ -22,6 +22,10 @@ MAX_ITERATIONS = "max_iterations"
 LINE_SEARCH_FAILURE = "line_search_failure"
 STALLED = "stalled"
 
+ARMIJO = 1e-4        # sufficient-decrease constant
+BACKTRACK = 0.5      # step-length factor per backtrack
+MAX_BACKTRACKS = 60  # step lengths tried per line search
+
 
 @dataclass
 class MinimizeResult:
@@ -32,9 +36,7 @@ class MinimizeResult:
     n_evals: int = 0
 
 
-def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500,
-                armijo: float = 1e-4, backtrack: float = 0.5,
-                max_backtracks: int = 60) -> MinimizeResult:
+def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500) -> MinimizeResult:
     """Minimize f given fg(x) -> (f, grad)."""
     x = np.asarray(x0, dtype=float).copy()
     n_evals = 0
@@ -65,13 +67,13 @@ def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500,
 
         alpha = 1.0
         f_new = None
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_try = x + alpha * p
             f_try, g_try = eval_fg(x_try)
-            if np.isfinite(f_try) and f_try <= f + armijo * alpha * slope:
+            if np.isfinite(f_try) and f_try <= f + ARMIJO * alpha * slope:
                 f_new = f_try
                 break
-            alpha *= backtrack
+            alpha *= BACKTRACK
         if f_new is None:
             status = LINE_SEARCH_FAILURE
             break

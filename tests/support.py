@@ -29,16 +29,15 @@ def objective_grad(family, theta, X, weights: WeightTable) -> np.ndarray:
 
 
 def pointmajor_objective_and_grad(family, theta, X, weights: WeightTable):
-    """estimator.objective_and_grad on the (n, d) score views, a C-ordered
+    """estimator.objective_and_grad on the (n, d) score view, a C-ordered
     (n, d) copy of dg and the (n, 1) g column: the gradient the feature-major
-    objective must equal bit for bit.  Returns (objective, gradient, the (n, d)
-    summands of the objective), whose magnitudes bound the rounding of a sum
-    taken in another order."""
-    dl, d2l = family.score_batch(theta, X)
+    objective must equal bit for bit.  Returns (objective, gradient, the
+    (n, d + 1) summands of the objective: d score terms and the Laplacian's),
+    whose magnitudes bound the rounding of a sum taken in another order."""
+    dl, lap = family.score_batch(theta, X)
     g, dg = weights.g, np.ascontiguousarray(weights.dg)
-    terms = (dl * dl + 2.0 * d2l) * g + 2.0 * dl * dg
-    grad = family.score_grad_batch(theta, X, 2.0 * (dl * g + dg),
-                                   np.repeat(2.0 * g, X.shape[1], axis=1))
+    terms = np.column_stack(((dl * dl) * g + 2.0 * dl * dg, 2.0 * lap * g[:, 0]))
+    grad = family.score_grad_batch(theta, X, 2.0 * (dl * g + dg), 2.0 * g[:, 0])
     return float(terms.sum() / len(X)), grad / len(X), terms
 
 
@@ -139,9 +138,9 @@ def outofplace_kernel(mu, X, sigma2):
 @dataclass
 class ScoreEval:
     dl: np.ndarray        # (d,)   d_k log p
-    d2l: np.ndarray       # (d,)   d_k^2 log p
+    lap: float            #        sum_k d_k^2 log p
     grad_dl: np.ndarray   # (r, d) theta-gradient of dl
-    grad_d2l: np.ndarray  # (r, d) theta-gradient of d2l
+    grad_lap: np.ndarray  # (r,)   theta-gradient of lap
 
 
 def score_eval(family, theta, x) -> ScoreEval:
@@ -150,13 +149,13 @@ def score_eval(family, theta, x) -> ScoreEval:
     if x.shape != (family.d,):
         raise ModelError(f"x must have dimension {family.d}")
     X = x[None, :]
-    dl, d2l = family.score_batch(theta, X)
-    # column k of each (r, d) Jacobian is the VJP with unit cotangent e_k
+    dl, lap = family.score_batch(theta, X)
+    # column k of the (r, d) Jacobian of dl is the VJP with unit cotangent e_k
     E = np.eye(family.d)[:, None, :]
-    grad_dl = np.column_stack([family.score_grad_batch(theta, X, e, 0 * e) for e in E])
-    grad_d2l = np.column_stack([family.score_grad_batch(theta, X, 0 * e, e) for e in E])
-    out = ScoreEval(dl=dl[0], d2l=d2l[0], grad_dl=grad_dl, grad_d2l=grad_d2l)
-    for arr in (out.dl, out.d2l, out.grad_dl, out.grad_d2l):
+    grad_dl = np.column_stack([family.score_grad_batch(theta, X, e, np.zeros(1)) for e in E])
+    grad_lap = family.score_grad_batch(theta, X, 0 * E[0], np.ones(1))
+    out = ScoreEval(dl=dl[0], lap=float(lap[0]), grad_dl=grad_dl, grad_lap=grad_lap)
+    for arr in (out.dl, out.lap, out.grad_dl, out.grad_lap):
         if not np.all(np.isfinite(arr)):
             raise ModelError("non-finite derivative; check theta/x magnitudes")
     return out
@@ -188,27 +187,27 @@ def fd_check(family, theta, x, h: float = 1e-5) -> float:
         fd_dl[k] = (lp(x + e) - lp(x - e)) / (2 * h)
     errs.append(_rel_err(ev.dl, fd_dl))
 
-    # d2l vs FD of dl in x
-    fd_d2l = np.empty(d)
+    # lap vs the sum over k of FD of dl_k in x_k
+    fd_lap = 0.0
     for k in range(d):
         e = np.zeros(d)
         e[k] = h
         dp = family.score_batch(theta, (x + e)[None, :])[0][0, k]
         dm = family.score_batch(theta, (x - e)[None, :])[0][0, k]
-        fd_d2l[k] = (dp - dm) / (2 * h)
-    errs.append(_rel_err(ev.d2l, fd_d2l))
+        fd_lap += (dp - dm) / (2 * h)
+    errs.append(_rel_err(ev.lap, fd_lap))
 
-    # theta-gradients vs FD of dl and d2l in theta
+    # theta-gradients vs FD of dl and lap in theta
     fd_gdl = np.empty((r, d))
-    fd_gd2l = np.empty((r, d))
+    fd_glap = np.empty(r)
     for j in range(r):
         e = np.zeros(r)
         e[j] = h
-        dlp, d2lp = family.score_batch(theta + e, x[None, :])
-        dlm, d2lm = family.score_batch(theta - e, x[None, :])
+        dlp, lapp = family.score_batch(theta + e, x[None, :])
+        dlm, lapm = family.score_batch(theta - e, x[None, :])
         fd_gdl[j] = (dlp[0] - dlm[0]) / (2 * h)
-        fd_gd2l[j] = (d2lp[0] - d2lm[0]) / (2 * h)
+        fd_glap[j] = (lapp[0] - lapm[0]) / (2 * h)
     errs.append(_rel_err(ev.grad_dl, fd_gdl))
-    errs.append(_rel_err(ev.grad_d2l, fd_gd2l))
+    errs.append(_rel_err(ev.grad_lap, fd_glap))
 
     return float(max(errs))

@@ -226,12 +226,13 @@ def test_feature_major_objective_matches_point_major(kind, scale, K):
 
 
 def repeated_objective_and_grad(family, theta, X, w):
-    """The objective with the weight copied into every coordinate, an (n, d)
-    array that is also the d2l cotangent; returns the summands too."""
+    """The objective with the weight copied into every coordinate of the score
+    terms, an (n, d) array that also forms the score's cotangent; returns the
+    (n, d + 1) summands too, the Laplacian's last."""
     G = np.repeat(w.g, X.shape[1], axis=1)
-    dl, d2l = family.score_batch(theta, X)
-    terms = (dl * dl + 2.0 * d2l) * G + 2.0 * dl * w.dg
-    grad = family.score_grad_batch(theta, X, 2.0 * (dl * G + w.dg), 2.0 * G)
+    dl, lap = family.score_batch(theta, X)
+    terms = np.column_stack(((dl * dl) * G + 2.0 * dl * w.dg, 2.0 * lap * w.g[:, 0]))
+    grad = family.score_grad_batch(theta, X, 2.0 * (dl * G + w.dg), 2.0 * w.g[:, 0])
     return float(terms.sum() / len(X)), grad / len(X), terms
 
 
@@ -499,10 +500,10 @@ def test_fh_agrees_with_objective_identity():
     qs = -X
     c_hat = float((w.g * qs ** 2).sum(axis=1).mean())
     m_n = objective(fam, theta, X, w)
-    dl, d2l = fam.score_batch(theta, X)
+    dl, lap = fam.score_batch(theta, X)
     # per-sample difference between the two cross-term computations
     direct = (w.g * (dl - qs) ** 2).sum(axis=1)
-    via_ibp = ((dl ** 2 + 2 * d2l) * w.g + 2 * dl * w.dg).sum(axis=1) \
+    via_ibp = (dl ** 2 * w.g + 2 * dl * w.dg).sum(axis=1) + 2 * lap * w.g[:, 0] \
         + (w.g * qs ** 2).sum(axis=1)
     se = float((direct - via_ibp).std(ddof=1) / np.sqrt(len(X)))
     assert abs(fh - (m_n + c_hat)) <= 3 * max(se, 1e-12)

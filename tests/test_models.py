@@ -50,9 +50,9 @@ def test_gaussian_closed_form():
     fam = GaussianMean(1)
     ev = score_eval(fam, np.array([0.0]), np.array([0.5]))
     assert ev.dl == pytest.approx(-0.5)
-    assert ev.d2l == pytest.approx(-1.0)
+    assert ev.lap == pytest.approx(-1.0)
     assert np.allclose(ev.grad_dl, np.eye(1))
-    assert np.all(ev.grad_d2l == 0.0)
+    assert np.all(ev.grad_lap == 0.0)
 
 
 def test_gaussian_translation_consistency(rng):
@@ -62,7 +62,7 @@ def test_gaussian_translation_consistency(rng):
     v = rng.standard_normal(3)
     a = score_eval(fam, theta, x)
     b = score_eval(fam, theta + v, x + v)
-    assert np.allclose(a.dl, b.dl) and np.allclose(a.d2l, b.d2l)
+    assert np.allclose(a.dl, b.dl) and np.allclose(a.lap, b.lap)
 
 
 def test_gmm_k1_matches_gaussian_scaled(rng):
@@ -74,7 +74,7 @@ def test_gmm_k1_matches_gaussian_scaled(rng):
     a = score_eval(gmm, theta, x)
     b = score_eval(gau, theta, x)
     assert np.allclose(a.dl, b.dl / s2)
-    assert np.allclose(a.d2l, b.d2l / s2)
+    assert np.allclose(a.lap, b.lap / s2)
 
 
 def test_gmm_equal_centers_symmetry(rng):
@@ -84,10 +84,10 @@ def test_gmm_equal_centers_symmetry(rng):
     X = rng.standard_normal((5, 2))
     W = gmm.responsibilities(theta, X)
     assert np.allclose(W, 0.5)
-    dl, d2l = gmm.score_batch(theta, X)
+    dl, lap = gmm.score_batch(theta, X)
     gau = GaussianMean(2)
-    gdl, gd2l = gau.score_batch(mu, X)
-    assert np.allclose(dl, gdl) and np.allclose(d2l, gd2l)
+    gdl, glap = gau.score_batch(mu, X)
+    assert np.allclose(dl, gdl) and np.allclose(lap, glap)
 
 
 def test_gmm_responsibilities_sum_to_one(rng):
@@ -104,7 +104,7 @@ def test_gmm_logsumexp_stability():
     theta = np.array([100.0, 100.0, -100.0, -100.0])
     x = np.array([100.0, 100.0])
     ev = score_eval(gmm, theta, x)  # must not overflow
-    assert np.all(np.isfinite(ev.dl)) and np.all(np.isfinite(ev.d2l))
+    assert np.all(np.isfinite(ev.dl)) and np.isfinite(ev.lap)
 
 
 def test_fd_check_gaussian(rng):
@@ -160,15 +160,15 @@ def test_property_score_vjp_matches_dense_jacobians(seed, K, d, gaussian):
     theta = 2 * rng.standard_normal(fam.r)
     n = int(rng.integers(1, 40))
     X = theta[:d] + 2 * rng.standard_normal((n, d))
-    c_dl, c_d2l = rng.standard_normal((2, n, d))
-    grad_dl, grad_d2l = dense_score_jacobians(fam, theta, X)
-    dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + np.einsum("nd,nrd->r", c_d2l, grad_d2l)
-    vjp = fam.score_grad_batch(theta, X, c_dl, c_d2l)
+    c_dl = rng.standard_normal((n, d))
+    c_lap = rng.standard_normal(n)
+    grad_dl, grad_lap = _dense_score_jacobians(fam, theta, X)
+    dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + c_lap @ grad_lap
+    vjp = fam.score_grad_batch(theta, X, c_dl, c_lap)
     assert vjp.shape == (fam.r,)
     # the forward-error bound of a sum: relative to the sum of the terms'
     # magnitudes, since random cotangents can make the sum itself nearly cancel
-    scale = np.einsum("nd,nrd->r", np.abs(c_dl), np.abs(grad_dl)) \
-        + np.einsum("nd,nrd->r", np.abs(c_d2l), np.abs(grad_d2l))
+    scale = np.einsum("nd,nrd->r", np.abs(c_dl), np.abs(grad_dl)) + np.abs(c_lap) @ np.abs(grad_lap)
     assert np.linalg.norm(vjp - dense) <= 1e-12 * np.linalg.norm(scale)
 
 
@@ -184,6 +184,19 @@ def _rel(approx, exact):
     return np.abs(approx - exact).max() / np.abs(exact).max()
 
 
+def _dense_score(family, theta, X):
+    """dl (n, d) and lap (n,): the dense per-coordinate oracle, d2l summed."""
+    dl, d2l = dense_score(family, theta, X)
+    return dl, d2l.sum(axis=1)
+
+
+def _dense_score_jacobians(family, theta, X):
+    """The (n, r, d) Jacobian of dl and the (n, r) Jacobian of lap: the dense
+    per-coordinate oracles, the one of d2l summed over the coordinates."""
+    grad_dl, grad_d2l = dense_score_jacobians(family, theta, X)
+    return grad_dl, grad_d2l.sum(axis=2)
+
+
 @pytest.mark.parametrize("K, d", [(1, 2), (4, 2), (3, 8), (1, 8)])
 @pytest.mark.parametrize("scale", sorted(SCALES))
 def test_kernel_matches_dense_oracles(scale, K, d):
@@ -195,17 +208,37 @@ def test_kernel_matches_dense_oracles(scale, K, d):
     theta = (offset + spread * rng.standard_normal((K, d))).reshape(-1)
     n = 2000
     X = offset + 1.5 * spread * rng.standard_normal((n, d))
-    c_dl, c_d2l = rng.standard_normal((2, n, d))
+    c_dl = rng.standard_normal((n, d))
+    c_lap = rng.standard_normal(n)
     w = rng.random(n)
 
     lp, G = dense_logp(fam, theta, X)
     assert _rel(fam.logp_batch(theta, X), lp) <= 1e-12
     assert _rel(fam.grad_logp_batch(theta, X, w), w @ G) <= 1e-10
-    for got, want in zip(fam.score_batch(theta, X), dense_score(fam, theta, X)):
-        assert _rel(got, want) <= 1e-12
-    grad_dl, grad_d2l = dense_score_jacobians(fam, theta, X)
-    dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + np.einsum("nd,nrd->r", c_d2l, grad_d2l)
-    assert _rel(fam.score_grad_batch(theta, X, c_dl, c_d2l), dense) <= 1e-10
+    for got, want in zip(fam.score_batch(theta, X), _dense_score(fam, theta, X)):
+        assert got.shape == want.shape and _rel(got, want) <= 1e-12
+    grad_dl, grad_lap = _dense_score_jacobians(fam, theta, X)
+    dense = np.einsum("nd,nrd->r", c_dl, grad_dl) + c_lap @ grad_lap
+    assert _rel(fam.score_grad_batch(theta, X, c_dl, c_lap), dense) <= 1e-10
+
+
+@pytest.mark.parametrize("K, d", [(2, 1), (4, 2), (3, 8)])
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_laplacian_vjp_is_the_per_coordinate_vjp_with_repeated_cotangent(scale, K, d):
+    # the Laplacian's cotangent c (n,) acts as c on every coordinate's second
+    # derivative: the dense per-coordinate VJP with c repeated, to 1e-10
+    # (at K = 1 the Laplacian is -d / sigma2 and its VJP 0)
+    offset, spread, s2 = SCALES[scale]
+    rng = np.random.default_rng(K * 10 + d + 2)
+    fam = IsotropicGMM(d=d, K=K, sigma2=s2)
+    offset = np.resize(offset, d)
+    theta = (offset + spread * rng.standard_normal((K, d))).reshape(-1)
+    n = 2000
+    X = offset + 1.5 * spread * rng.standard_normal((n, d))
+    c = rng.standard_normal(n)
+    _, grad_d2l = dense_score_jacobians(fam, theta, X)
+    dense = np.einsum("nd,nrd->r", np.repeat(c[:, None], d, axis=1), grad_d2l)
+    assert _rel(fam.score_grad_batch(theta, X, np.zeros((n, d)), c), dense) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 3000])
