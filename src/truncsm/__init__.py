@@ -31,7 +31,6 @@ from .geometry import (
     DisjointUnion,
     Euclidean,
     GeometryError,
-    Halfspace,
     L1,
     Mahalanobis,
     MetricBall,

@@ -197,6 +197,13 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
         lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters))
 
 
+def _true_score(true_score, X):
+    qs = np.asarray(true_score(X), dtype=float)
+    if qs.shape != X.shape:
+        raise EstimatorError(f"true_score must return an (n, d) matrix, got shape {qs.shape}")
+    return qs
+
+
 def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:
     """Monte Carlo weighted Fisher divergence against a known data score.
 
@@ -205,9 +212,7 @@ def fh_divergence(family, theta, X, true_score, weights: WeightTable) -> float:
     """
     X = _check_shapes(X, weights)
     dl, _ = family.score_batch(theta, X)
-    qs = np.asarray(true_score(X), dtype=float)
-    if qs.shape != X.shape:
-        raise EstimatorError("true_score must return an (n, d) matrix")
+    qs = _true_score(true_score, X)
     return float((weights.g * (dl - qs) ** 2).sum(axis=1).mean())
 
 
@@ -221,7 +226,7 @@ def ibp_identity_check(family, theta, X, true_score, weights: WeightTable):
     """
     X = _check_shapes(X, weights)
     dl, lap = family.score_batch(theta, X)
-    qs = np.asarray(true_score(X), dtype=float)
+    qs = _true_score(true_score, X)
     lhs_i = (weights.g * dl * qs).sum(axis=1)
     rhs_i = -((weights.dg * dl).sum(axis=1) + weights.g[:, 0] * lap)
     lhs = float(lhs_i.mean())

@@ -6,12 +6,15 @@ optionally capped at 1 via g_c = min(1, c * g0).  Every domain object is
 immutable after construction; distance evaluation is pure.
 
 One dispatcher, `_raw_distance_batch`, serves every domain x metric pairing:
-- a `Box` is a `ConvexPolytope`, and a facet {a.z + b = 0} of any polytope is at
-  distance |a.x + b| / ||a||_* in the metric's dual norm: l2 for Euclidean,
-  l-infinity for l1, and ||L^-T a|| for Mahalanobis;
+- every flat boundary piece is a facet {a.z + b = 0}, at distance
+  |a.x + b| / ||a||_* in the metric's dual norm (`_dual_norms`): l2 for
+  Euclidean, l-infinity for l1, and ||L^-T a|| for Mahalanobis.  A
+  `ConvexPolytope(A, b)` holds its facets as the rows of A and b, a `Box` is
+  one, and a ball's positive axes x_k > 0 are the facets -x_k < 0;
 - a Mahalanobis distance ||L (x - z)|| is Euclidean in y = L x, so a polygon's
-  vertices or a ball's quadratic form are mapped through L (no domain object is
-  rebuilt) and the gradient is pulled back by L;
+  vertices are mapped through L (no domain object is rebuilt), a ball
+  {||R x|| < r} becomes the quadric {||R L^-1 y|| < r}, and the gradient is
+  pulled back by L;
 - a disjoint union takes the distance within the component holding the point.
 l1 distances to polygons, balls and unions raise `UnsupportedPairingError`.
 """
@@ -68,8 +71,9 @@ class Mahalanobis:
             raise GeometryError("sigma must be finite")
         if not np.allclose(sigma, sigma.T):
             raise GeometryError("sigma must be symmetric")
-        try:
-            self._L = _inverse_factor(sigma)
+        try:  # upper-triangular L with L^T L = sigma^{-1}
+            inv = np.linalg.inv(sigma)
+            self._L = cholesky(0.5 * (inv + inv.T), lower=False)
         except np.linalg.LinAlgError as exc:
             raise GeometryError("sigma must be positive definite") from exc
         self.sigma = sigma
@@ -81,55 +85,38 @@ class Mahalanobis:
         return self._L
 
 
-def _inverse_factor(sigma):
-    """Upper-triangular L with L^T L = sigma^{-1}; LinAlgError unless SPD."""
-    inv = np.linalg.inv(sigma)
-    return cholesky(0.5 * (inv + inv.T), lower=False)
-
-
 @dataclass(frozen=True)
 class L1:
     pass
+
+
+def _check_metric(metric):
+    if not isinstance(metric, (Euclidean, L1, Mahalanobis)):
+        raise GeometryError(f"unknown metric {type(metric).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # domains
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """Region <a, x> + b < 0."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a, b = np.asarray(self.a, dtype=float), self.b
-        if a.ndim != 1 or not (np.all(np.isfinite(a)) and np.isfinite(b)):
-            raise GeometryError(f"halfspace needs a finite normal vector and offset: {a}, {b}")
-        if np.linalg.norm(a) == 0.0:
-            raise GeometryError("halfspace normal must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(b))
-
-
 class ConvexPolytope:
-    """Intersection of open halfspaces {x : A x + b < 0}."""
+    """Intersection of open halfspaces {x : A x + b < 0}: facet j has the
+    normal A[j] and the offset b[j]."""
 
-    def __init__(self, halfspaces: Sequence[Halfspace]):
-        if not halfspaces:
-            raise GeometryError("polytope needs at least one halfspace")
-        dims = sorted({h.a.size for h in halfspaces})
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"halfspace normals mix dimensions {dims}")
-        self.halfspaces = tuple(halfspaces)
-        self.A = np.array([h.a for h in halfspaces], dtype=float)
-        self.b = np.array([h.b for h in halfspaces], dtype=float)
-        self.dim = self.A.shape[1]
-        if len(halfspaces) < self.dim + 1:
+    def __init__(self, A, b):
+        A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+        if A.ndim != 2 or b.shape != A.shape[:1]:
+            raise DimensionMismatchError(
+                f"facets need an (m, d) normal array and m offsets, got {A.shape} and {b.shape}")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise GeometryError("facet normals and offsets must be finite")
+        if np.any(np.all(A == 0.0, axis=1)):
+            raise GeometryError("facet normals must be nonzero")
+        if len(A) < A.shape[1] + 1:
             raise GeometryError("bounded polytope needs at least d+1 facets")
-        self.A.setflags(write=False)
-        self.b.setflags(write=False)
+        A.setflags(write=False)
+        b.setflags(write=False)
+        self.A, self.b, self.dim = A, b, A.shape[1]
 
 
 class Polygon:
@@ -167,8 +154,7 @@ class Box(ConvexPolytope):
         if not np.all(lower < upper):
             raise GeometryError("box needs lower < upper componentwise")
         eye = np.eye(lower.size)
-        super().__init__([Halfspace(a, b) for a, b in
-                          zip(np.vstack([-eye, eye]), np.concatenate([lower, -upper]))])
+        super().__init__(np.vstack([-eye, eye]), np.concatenate([lower, -upper]))
         self.lower, self.upper = lower, upper
         lower.setflags(write=False)
         upper.setflags(write=False)
@@ -181,8 +167,7 @@ class MetricBall:
     def __init__(self, metric, radius, positive_axes: Sequence[int] = (), dim: Optional[int] = None):
         if not radius > 0:
             raise GeometryError("radius must be positive")
-        if not isinstance(metric, (Euclidean, L1, Mahalanobis)):
-            raise GeometryError(f"unknown metric {type(metric).__name__}")
+        _check_metric(metric)
         if isinstance(metric, Mahalanobis):
             if dim not in (None, len(metric.sigma)):
                 raise DimensionMismatchError(f"dim={dim} disagrees with sigma {metric.sigma.shape}")
@@ -224,6 +209,7 @@ class WeightSpec:
     constant: bool = False
 
     def __post_init__(self):
+        _check_metric(self.metric)
         if self.cap is not None and self.constant:
             raise GeometryError("cap and constant are mutually exclusive")
         if self.cap is not None and self.cap <= 0:
@@ -407,6 +393,16 @@ def _polytope_distance(A, b, norms, X):
     return g, grad
 
 
+def _dual_norms(A, metric):
+    """The metric's dual norm of each facet normal A[j]; the rows of A L^-1
+    are the L^-T a whose length is the Mahalanobis dual norm."""
+    if isinstance(metric, L1):
+        return np.abs(A).max(axis=1)
+    if isinstance(metric, Mahalanobis):
+        A = A @ np.linalg.inv(metric.transform)
+    return np.linalg.norm(A, axis=1)
+
+
 def _edge_offsets(X, P1, P2, edge, len2):
     """Offsets from points to their nearest points on edges P1-P2, and their
     lengths, for broadcast (point, edge) pairs."""
@@ -470,12 +466,13 @@ def _euclid_sphere(radius, X):
 _ELLIPSOID_MAX_ITER, _ELLIPSOID_RTOL = 100, 16 * np.finfo(float).eps
 
 
-def _euclid_ellipsoid(M, radius, X):
-    """Euclidean distance from interior points to {z : z^T M z = radius^2}.
+def _euclid_ellipsoid(M, radius, X, L):
+    """Euclidean distance in y = L x from interior points x to the quadric
+    {y : y^T M y = radius^2}, and its gradient in x.
 
-    In the eigenbasis y = Q^T x of M (eigenvalues w, rho = w / max w), the
-    nearest point is z = y / (1 - rho + t rho) with t in [0, 1) solving
-    ||z||_M = ||c / (e + t)|| = radius, where c = sqrt(w) y / rho and
+    In the eigenbasis u = Q^T L x of M (eigenvalues w, rho = w / max w), the
+    nearest point is z = u / (1 - rho + t rho) with t in [0, 1) solving
+    ||z||_M = ||c / (e + t)|| = radius, where c = sqrt(w) u / rho and
     e = 1 / rho - 1.  1 / ||z||_M is concave in t (More & Sorensen 1983), so
     batched Newton from the lower bound max(|c| / radius - e) rises to the
     root; bisection replaces a step that leaves the bracket.  Hard case
@@ -484,10 +481,11 @@ def _euclid_ellipsoid(M, radius, X):
     first top eigenvector.
     """
     w, Q = eigh(0.5 * (M + M.T))
+    P = L.T @ Q  # x -> u in one product; P = Q exactly when L = I
     rho = w / w.max()
     e = ((1.0 - rho) / rho)[:, None]
     # feature-major: C is (d, n), so every per-point sum runs over axis 0
-    C = np.ascontiguousarray((np.sqrt(w) / rho * (X @ Q)).T)
+    C = np.ascontiguousarray((np.sqrt(w) / rho * (X @ P)).T)
     nonzero = C != 0.0
 
     def m_norm(t):
@@ -520,7 +518,7 @@ def _euclid_ellipsoid(M, radius, X):
     normal = -rho[:, None] * Z
     with np.errstate(divide="ignore", invalid="ignore"):
         unit = np.where(g > 0.0, dvec / g, normal / np.sqrt((normal * normal).sum(axis=0)))
-    return g, unit.T @ Q.T
+    return g, unit.T @ P.T
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +528,9 @@ def _euclid_ellipsoid(M, radius, X):
 def _raw_distance_batch(domain, metric, X, label=None):
     """Boundary distance and its gradient in `metric` at interior points X;
     for a union, `label` may give each point's component (`_union_labels`)."""
-    if not isinstance(metric, (Euclidean, L1, Mahalanobis)):
-        raise GeometryError(f"unknown metric {type(metric).__name__}")
     L = metric.transform if isinstance(metric, Mahalanobis) else None
-    if isinstance(domain, ConvexPolytope):  # dual norms; rows of A L^-1 are L^-T a
-        A = domain.A
-        norms = (np.abs(A).max(axis=1) if isinstance(metric, L1)
-                 else np.linalg.norm(A if L is None else A @ np.linalg.inv(L), axis=1))
-        return _polytope_distance(A, domain.b, norms, X)
+    if isinstance(domain, ConvexPolytope):
+        return _polytope_distance(domain.A, domain.b, _dual_norms(domain.A, metric), X)
     if isinstance(metric, L1):
         raise UnsupportedPairingError(
             "L1 metric distance is implemented for Box and ConvexPolytope only")
@@ -557,34 +550,32 @@ def _raw_distance_batch(domain, metric, X, label=None):
         g, grad = _euclid_polygon(domain.vertices @ L.T, X @ L.T)
         return g, grad @ L
     if isinstance(domain, MetricBall):
-        return _ball_distance(domain, L, X)
+        return _ball_distance(domain, metric, X)
     raise GeometryError(f"unknown domain type {type(domain).__name__}")
 
 
-def _ball_distance(ball: MetricBall, L, X):
-    """Euclidean distance (L None) or distance in y = L x to a ball boundary."""
+def _ball_distance(ball: MetricBall, metric, X):
+    """Distance in the Euclidean or Mahalanobis `metric` to a ball's boundary:
+    its sphere or quadric, or the nearer facet -x_k < 0 of a positive axis
+    (the first such axis among equal distances, the quadric on exact ties)."""
     if isinstance(ball.metric, L1):
         raise UnsupportedPairingError(
             "distance to an L1 ball boundary is not implemented; "
             "represent the domain as a ConvexPolytope instead")
-    if L is None and isinstance(ball.metric, Euclidean):
+    if isinstance(ball.metric, Euclidean) and isinstance(metric, Euclidean):
         g, grad = _euclid_sphere(ball.radius, X)
-    elif L is None:
-        R = ball.metric.transform
-        g, grad = _euclid_ellipsoid(R.T @ R, ball.radius, X)
-    elif ball.positive_axes:
-        raise UnsupportedPairingError(
-            "Mahalanobis weight on a positivity-constrained ball is not implemented")
     else:
-        # {x : x^T S^-1 x < r^2} is {y : y^T (L S L^T)^-1 y < r^2} in y = L x
-        S = ball.metric.sigma if isinstance(ball.metric, Mahalanobis) else np.eye(ball.dim)
-        R = _inverse_factor(L @ S @ L.T)
-        g, grad = _euclid_ellipsoid(R.T @ R, ball.radius, X @ L.T)
-        return g, grad @ L
-    for k in ball.positive_axes:
-        closer = X[:, k] < g
-        g = np.where(closer, X[:, k], g)
-        grad[closer] = np.eye(X.shape[1])[k]
+        # {x : ||R x|| < r} is {y : ||B y|| < r} in y = L x, with B = R L^-1
+        eye = np.eye(ball.dim)
+        R, L = (m.transform if isinstance(m, Mahalanobis) else eye for m in (ball.metric, metric))
+        B = R @ np.linalg.inv(L)
+        g, grad = _euclid_ellipsoid(B.T @ B, ball.radius, X, L)
+    if ball.positive_axes:
+        A = -np.eye(ball.dim)[list(ball.positive_axes)]
+        gk, gradk = _polytope_distance(A, np.zeros(len(A)), _dual_norms(A, metric), X)
+        closer = gk < g
+        g = np.where(closer, gk, g)
+        grad[closer] = gradk[closer]
     return g, grad
 
 
@@ -699,12 +690,8 @@ def load_polygon(path) -> Polygon:
 
 
 def unit_square() -> ConvexPolytope:
-    return ConvexPolytope([
-        Halfspace(np.array([-1.0, 0.0]), 0.0),
-        Halfspace(np.array([1.0, 0.0]), -1.0),
-        Halfspace(np.array([0.0, -1.0]), 0.0),
-        Halfspace(np.array([0.0, 1.0]), -1.0),
-    ])
+    return ConvexPolytope([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]],
+                          [0.0, -1.0, 0.0, -1.0])
 
 
 def hemi_l1_ball(d: int) -> ConvexPolytope:
@@ -712,5 +699,6 @@ def hemi_l1_ball(d: int) -> ConvexPolytope:
     if not 1 <= d <= 12:
         raise GeometryError(f"hemi_l1_ball takes 1 <= d <= 12 (2^(d-1)+1 facets), got d={d}")
     signs = 1.0 - 2.0 * (np.arange(2 ** (d - 1))[:, None] >> np.arange(d - 1) & 1)
-    hs = [Halfspace(np.append(s, 1.0), -1.0) for s in signs]      # <s, x> < 1
-    return ConvexPolytope(hs + [Halfspace(np.append(np.zeros(d - 1), -1.0), 0.0)])  # x_d > 0
+    A = np.vstack([np.column_stack([signs, np.ones(len(signs))]),  # <s, x> < 1
+                   np.append(np.zeros(d - 1), -1.0)])              # x_d > 0
+    return ConvexPolytope(A, np.append(np.full(len(signs), -1.0), 0.0))

@@ -46,17 +46,15 @@ def report(num, name, ok, detail, elapsed, budget):
 
 def random_polytope_3d(seed=7, n_facets=12):
     rng = np.random.default_rng(seed)
-    hs = []
+    A, b = [], []
     for _ in range(n_facets - 6):
         a = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        hs.append(geometry.Halfspace(a, -rng.uniform(1.0, 2.0)))
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        hs.append(geometry.Halfspace(e, -2.5))
-        hs.append(geometry.Halfspace(-e, -2.5))
-    return geometry.ConvexPolytope(hs)
+        A.append(a / np.linalg.norm(a))
+        b.append(-rng.uniform(1.0, 2.0))
+    for e in np.eye(3):
+        A += [e, -e]
+        b += [-2.5, -2.5]
+    return geometry.ConvexPolytope(A, b)
 
 
 def test_01_distance_oracle():

@@ -488,6 +488,17 @@ def test_fh_vanishes_at_truth():
     assert val == pytest.approx(0.0, abs=1e-12)  # scores identical pointwise
 
 
+@pytest.mark.parametrize("check", [fh_divergence, ibp_identity_check])
+@pytest.mark.parametrize("wrong", [lambda Z: -Z[:, :1], lambda Z: np.ones(2)],
+                         ids=["column", "vector"])
+def test_true_score_must_be_n_by_d(check, wrong):
+    # a score that would broadcast against the (n, d) samples is still refused
+    X = _truncated_gaussian_sample(200, 3)
+    w = geometry.distance_batch(unit_square(), EUCL, X)
+    with pytest.raises(EstimatorError, match=r"\(n, d\) matrix"):
+        check(GaussianMean(2), np.zeros(2), X, wrong, w)
+
+
 def test_fh_agrees_with_objective_identity():
     # FH estimate = M_n(theta) + C_hat where C_hat = mean sum_k g_k (d_k log q)^2
     # and the cross term in M_n is the integration-by-parts replacement;

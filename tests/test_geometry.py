@@ -10,7 +10,6 @@ from truncsm.geometry import (
     DisjointUnion,
     Euclidean,
     GeometryError,
-    Halfspace,
     L1,
     Mahalanobis,
     MetricBall,
@@ -46,32 +45,19 @@ EUCL = WeightSpec(metric=Euclidean())
 def random_convex_polytope_3d(seed, n_facets=12):
     """Random bounded polytope: tangent halfspaces of a ball, plus a box."""
     rng = np.random.default_rng(seed)
-    hs = []
+    A, b = [], []
     for _ in range(n_facets - 6):
         a = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        hs.append(Halfspace(a, -rng.uniform(1.0, 2.0)))
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        hs.append(Halfspace(e, -2.5))
-        hs.append(Halfspace(-e, -2.5))
-    return ConvexPolytope(hs)
+        A.append(a / np.linalg.norm(a))
+        b.append(-rng.uniform(1.0, 2.0))
+    for e in np.eye(3):
+        A += [e, -e]
+        b += [-2.5, -2.5]
+    return ConvexPolytope(A, b)
 
 
 # ---------------------------------------------------------------------------
 # constructors / validation
-
-
-def test_halfspace_zero_normal_rejected():
-    with pytest.raises(GeometryError):
-        Halfspace(np.zeros(2), 1.0)
-
-
-def test_polytope_needs_enough_facets():
-    with pytest.raises(GeometryError):
-        ConvexPolytope([Halfspace(np.array([1.0, 0.0]), -1.0),
-                        Halfspace(np.array([-1.0, 0.0]), 0.0)])
 
 
 def test_polygon_needs_three_vertices():
@@ -131,10 +117,15 @@ MALFORMED = {
                    GeometryError, "finite"),
     "text vertex": (lambda tmp: load_polygon(_write(tmp, "0,0\n1,x\n0,1\n")),
                     GeometryError, "non-numeric"),
-    "mixed halfspace dims": (lambda tmp: ConvexPolytope([Halfspace(np.array([-1.0, 0.0]), 0.0),
-                                                         Halfspace(np.array([0.0, -1.0, 0.0]), 0.0)]),
-                             DimensionMismatchError, "mix dimensions"),
-    "nan halfspace": (lambda tmp: Halfspace(np.array([np.nan, 1.0]), 0.0), GeometryError, "finite"),
+    "polytope shape mismatch": (lambda tmp: ConvexPolytope(np.eye(3), np.zeros(2)),
+                                DimensionMismatchError, "m offsets"),
+    "nan halfspace": (lambda tmp: ConvexPolytope([[np.nan, 1.0], [-1.0, 0.0], [0.0, -1.0]], np.zeros(3)),
+                      GeometryError, "finite"),
+    "polytope zero normal": (lambda tmp: ConvexPolytope([[1.0, 1.0], [0.0, 0.0], [0.0, -1.0]], np.zeros(3)),
+                             GeometryError, "nonzero"),
+    "polytope too few facets": (lambda tmp: ConvexPolytope([[1.0, 0.0], [-1.0, 0.0]], [-1.0, 0.0]),
+                                GeometryError, "d\\+1 facets"),
+    "unknown weight metric": (lambda tmp: WeightSpec(metric="euclid"), GeometryError, "unknown metric str"),
     "positive axis out of range": (lambda tmp: MetricBall(Euclidean(), 1, positive_axes=(5,), dim=2),
                                    GeometryError, "out of range"),
     "zero dim": (lambda tmp: MetricBall(Euclidean(), 1, dim=0), GeometryError, "dimension"),
@@ -404,7 +395,7 @@ def test_ellipse_solver_equals_rowwise_form_bit_for_bit():
     for _ in range(40):
         M, Q, a, radius = _random_ellipsoid(rng, 2)
         X = _ellipsoid_points(rng, Q, a, radius)
-        g, dg = geometry._euclid_ellipsoid(M, radius, X)
+        g, dg = geometry._euclid_ellipsoid(M, radius, X, np.eye(2))
         g_ref, dg_ref, ok = _rowwise(M, radius, X)
         assert np.array_equal(g, g_ref) and np.array_equal(dg[ok], dg_ref[ok])
 
@@ -419,7 +410,7 @@ def test_ellipsoid_solver_near_rowwise_form(d):
     for _ in range(10):
         M, Q, a, radius = _random_ellipsoid(rng, d)
         X = _ellipsoid_points(rng, Q, a, radius)
-        g, dg = geometry._euclid_ellipsoid(M, radius, X)
+        g, dg = geometry._euclid_ellipsoid(M, radius, X, np.eye(d))
         g_ref, dg_ref, ok = _rowwise(M, radius, X)
         scale = radius * a.max()
         assert np.all(np.abs(g - g_ref) <= 32 * eps * scale)
@@ -430,7 +421,7 @@ def test_ellipsoid_solver_near_rowwise_form(d):
 def test_ellipse_boundary_points_get_the_inward_normal():
     # on x^2 + 4 y^2 = 1 the solve ends at t = 1 exactly, where g = 0
     X = np.array([[1.0, 0.0], [0.0, 0.5], [-1.0, 0.0], [0.0, -0.5], [0.5, 0.0]])
-    g, dg = geometry._euclid_ellipsoid(np.diag([1.0, 4.0]), 1.0, X)
+    g, dg = geometry._euclid_ellipsoid(np.diag([1.0, 4.0]), 1.0, X, np.eye(2))
     assert np.array_equal(g[:4], np.zeros(4)) and g[4] > 0.0
     assert np.allclose(dg[:4], -np.sign(X[:4]), rtol=0.0, atol=1e-15)
 
@@ -474,6 +465,16 @@ def test_distance_gradient_vs_fd(polygon_preset):
         assert np.allclose(grad, fd, atol=1e-5)
 
 
+def test_positive_axes_tie_rule():
+    # the first listed axis among equal facet distances; the sphere on an exact tie
+    g, grad = distance(MetricBall(Euclidean(), 1.0, positive_axes=(1, 0), dim=2), EUCL,
+                       np.array([0.25, 0.25]))
+    assert g == 0.25 and np.array_equal(grad, [0.0, 1.0])
+    g, grad = distance(MetricBall(Euclidean(), 1.0, positive_axes=(1,), dim=2), EUCL,
+                       np.array([0.0, 0.5]))
+    assert g == 0.5 and np.array_equal(grad, [0.0, -1.0])
+
+
 # a non-diagonal SPD sigma per dimension; Mahalanobis weights equal Euclidean
 # distances in y = L x, where the oracles run on the mapped boundary
 SIGMA_SPD = {2: np.array([[1.0, 0.35], [0.35, 0.6]]),
@@ -483,6 +484,7 @@ MAHA_DOMAINS = {
     "polytope": lambda: random_convex_polytope_3d(7),
     "polygon": presets.default_polygon,
     "euclidean-ball": lambda: MetricBall(Euclidean(), 1.5, dim=2),
+    "positive-ball": lambda: MetricBall(Euclidean(), 1.0, positive_axes=(1,), dim=2),
     "union": lambda: template_domain("disjoint", 1.0),
 }
 
@@ -497,7 +499,9 @@ def _mapped_oracle(domain, L, x, rng):
                                        n_per_facet=20_000)[0]
     if isinstance(domain, Polygon):
         return brute_polygon_distance(domain.vertices @ L.T, y, n_samples=120_000)
-    return brute_ellipsoid_distance(np.linalg.inv(L @ L.T), domain.radius, y, rng)
+    # a positive axis x_k > 0 is a facet, at x_k / ||L^-T e_k|| in y = L x
+    axes = [x[k] / np.linalg.norm(np.linalg.inv(L).T[:, k]) for k in domain.positive_axes]
+    return min([brute_ellipsoid_distance(np.linalg.inv(L @ L.T), domain.radius, y, rng)] + axes)
 
 
 @pytest.mark.parametrize("case", sorted(MAHA_DOMAINS))
@@ -528,12 +532,10 @@ def test_mahalanobis_weights_vs_oracles(case, monkeypatch):
 
 PAIRING_DOMAINS = dict(MAHA_DOMAINS, **{
     "mahalanobis-ball": lambda: MetricBall(Mahalanobis(SIGMA_RHO9), 1.0),
-    "positive-ball": lambda: MetricBall(Euclidean(), 1.0, positive_axes=(1,), dim=2),
     "l1-ball": lambda: MetricBall(L1(), 1.0, dim=2),
 })
 UNSUPPORTED = ({(name, "l1") for name in PAIRING_DOMAINS if name not in ("box", "polytope")}
-               | {("positive-ball", "mahalanobis"), ("l1-ball", "euclidean"),
-                  ("l1-ball", "mahalanobis")})
+               | {("l1-ball", "euclidean"), ("l1-ball", "mahalanobis")})
 
 
 @pytest.mark.parametrize("metric_name", ["euclidean", "l1", "mahalanobis"])
@@ -680,11 +682,8 @@ def test_bounding_box_polytope_lp(square):
 
 
 def test_bounding_box_unbounded_raises():
-    hs = [Halfspace(np.array([1.0, 0.0]), -1.0),
-          Halfspace(np.array([0.0, 1.0]), -1.0),
-          Halfspace(np.array([0.0, -1.0]), 0.0)]
     with pytest.raises(GeometryError):
-        bounding_box(ConvexPolytope(hs))
+        bounding_box(ConvexPolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-1.0, -1.0, 0.0]))
 
 
 def test_square_template_b1():
@@ -742,7 +741,7 @@ def test_load_polygon_roundtrip(tmp_path):
 def test_hemi_l1_ball_membership_and_facets():
     for d in (2, 3, 4):
         dom = hemi_l1_ball(d)
-        assert len(dom.halfspaces) == 2 ** (d - 1) + 1
+        assert len(dom.A) == 2 ** (d - 1) + 1
         x = np.zeros(d)
         x[-1] = 0.5
         assert contains(dom, x)
