@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -22,6 +23,7 @@ from .optim import minimize_qn
 JITTER_SD = 0.06  # sd of the Gaussian jitter on each restart's start point
 INIT_STYLES = ("mean_jitter", "kmeans++", "kmeans")
 LLOYD_MAX_ITERS = 100  # Lloyd steps after k-means++ seeding in the "kmeans" style
+EXACT_MATCH_MAX_K = 5  # match_centers tries all K! assignments up to this K
 
 
 class EstimatorError(ValueError):
@@ -242,14 +244,22 @@ def match_centers(estimated, reference, d: int):
 
     Returns (max matched distance, mean matched distance, permutation) where
     permutation maps reference component j to estimated component perm[j].
+    Up to `EXACT_MATCH_MAX_K` components every permutation is tried, and the
+    first least total in `itertools.permutations` order wins; larger sets go
+    to scipy's `linear_sum_assignment`.
     """
-    from scipy.optimize import linear_sum_assignment
-
     est = np.asarray(estimated, dtype=float).reshape(-1, d)
     ref = np.asarray(reference, dtype=float).reshape(-1, d)
     if est.shape != ref.shape:
         raise EstimatorError("center sets must have equal shapes")
     cost = np.linalg.norm(ref[:, None, :] - est[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
+    rows = np.arange(len(cost))
+    if len(cost) <= EXACT_MATCH_MAX_K:
+        perms = np.array(list(permutations(range(len(cost)))), dtype=np.intp)
+        cols = perms[np.argmin(cost[rows, perms].sum(axis=1))]
+    else:
+        from scipy.optimize import linear_sum_assignment
+
+        cols = linear_sum_assignment(cost)[1]
     dists = cost[rows, cols]
     return float(dists.max()), float(dists.mean()), cols

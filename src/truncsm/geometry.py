@@ -17,6 +17,10 @@ One dispatcher, `_raw_distance_batch`, serves every domain x metric pairing:
   pulled back by L;
 - a disjoint union takes the distance within the component holding the point.
 l1 distances to polygons, balls and unions raise `UnsupportedPairingError`.
+
+scipy is imported only by the functions that need it (ellipsoids and
+Mahalanobis factors, polytope bounding boxes, polygons of `_DENSE_MAX_T` or
+more vertices), so the closed-form paths run on numpy alone.
 """
 
 from __future__ import annotations
@@ -26,9 +30,6 @@ from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cholesky, eigh
-from scipy.optimize import linprog
-from scipy.spatial import cKDTree
 
 
 class GeometryError(ValueError):
@@ -71,6 +72,8 @@ class Mahalanobis:
             raise GeometryError("sigma must be finite")
         if not np.allclose(sigma, sigma.T):
             raise GeometryError("sigma must be symmetric")
+        from scipy.linalg import cholesky
+
         try:  # upper-triangular L with L^T L = sigma^{-1}
             inv = np.linalg.inv(sigma)
             self._L = cholesky(0.5 * (inv + inv.T), lower=False)
@@ -147,8 +150,8 @@ class Box(ConvexPolytope):
     """
 
     def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
+        lower = np.array(lower, dtype=float)
+        upper = np.array(upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise GeometryError("lower/upper must be vectors of equal length")
         if not np.all(lower < upper):
@@ -429,6 +432,8 @@ def _euclid_polygon(V, X):
         idx = np.arange(n)
         dvec, g = dvec[idx, t], dist[idx, t]
     else:
+        from scipy.spatial import cKDTree
+
         dvec, g = np.empty_like(X), np.empty(n)
         half = 0.5 * np.sqrt(len2.max())
         mids = cKDTree(0.5 * (P1 + P2))
@@ -480,6 +485,8 @@ def _euclid_ellipsoid(M, radius, X, L):
     ||z(0)||_M <= radius give t = 0, with the remaining length placed on the
     first top eigenvector.
     """
+    from scipy.linalg import eigh
+
     w, Q = eigh(0.5 * (M + M.T))
     P = L.T @ Q  # x -> u in one product; P = Q exactly when L = I
     rho = w / w.max()
@@ -611,7 +618,7 @@ def distance_batch(domain, weight: WeightSpec, X) -> WeightTable:
 
 def bounding_box(domain) -> Box:
     if isinstance(domain, Box):
-        return Box(domain.lower.copy(), domain.upper.copy())
+        return Box(domain.lower, domain.upper)
     if isinstance(domain, Polygon):
         V = domain.vertices
         return Box(V.min(axis=0), V.max(axis=0))
@@ -633,6 +640,8 @@ def bounding_box(domain) -> Box:
 
 
 def _polytope_bbox(poly: ConvexPolytope) -> Box:
+    from scipy.optimize import linprog
+
     d = poly.dim
     lower, upper = np.empty(d), np.empty(d)
     for k, c in enumerate(np.eye(d)):

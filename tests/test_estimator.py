@@ -563,6 +563,58 @@ def test_match_centers_permutation():
     assert sorted(perm.tolist()) == [0, 1, 2, 3]
 
 
+def _lsa(est, ref, d):
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.linalg.norm(ref.reshape(-1, d)[:, None] - est.reshape(-1, d)[None], axis=2)
+    return cost, linear_sum_assignment(cost)[1]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_match_centers_equals_linear_sum_assignment(K):
+    rng = np.random.default_rng(K)
+    for _ in range(200):
+        est, ref = rng.normal(size=(2, 3 * K))
+        _, cols = _lsa(est, ref, 3)
+        assert np.array_equal(match_centers(est, ref, 3)[2], cols)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_match_centers_ties_give_a_least_total(K):
+    """Duplicated centers tie several assignments: the total matches scipy's,
+    and the permutation is a least-total one."""
+    from itertools import permutations
+
+    rng = np.random.default_rng(10 + K)
+    for _ in range(50):
+        ref = rng.normal(size=(K, 2))
+        ref[1] = ref[0]
+        est = ref[rng.permutation(K)] + rng.normal(scale=0.1 * rng.integers(0, 2), size=(K, 2))
+        cost, cols = _lsa(est.ravel(), ref.ravel(), 2)
+        perm = match_centers(est.ravel(), ref.ravel(), 2)[2]
+        rows = np.arange(K)
+        least = min(cost[rows, list(p)].sum() for p in permutations(range(K)))
+        assert sorted(perm.tolist()) == list(range(K))
+        assert cost[rows, perm].sum() == pytest.approx(cost[rows, cols].sum(), rel=1e-14)
+        assert cost[rows, perm].sum() == pytest.approx(least, rel=1e-14)
+
+
+def test_match_centers_falls_back_to_scipy_above_the_exact_cap(monkeypatch):
+    import scipy.optimize
+
+    rng = np.random.default_rng(6)
+    cases = [rng.normal(size=(2, 2 * K))
+             for K in (estimator.EXACT_MATCH_MAX_K, estimator.EXACT_MATCH_MAX_K + 1)]
+    expected = [_lsa(est, ref, 2)[1] for est, ref in cases]
+    calls = []
+    lsa = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda cost: calls.append(cost.shape) or lsa(cost))
+    for (est, ref), cols in zip(cases, expected):
+        assert np.array_equal(match_centers(est, ref, 2)[2], cols)
+    assert calls == [(6, 6)]
+
+
 def test_match_centers_shape_check():
     with pytest.raises(EstimatorError):
         match_centers(np.zeros(4), np.zeros(6), 2)

@@ -87,6 +87,13 @@ def test_box_ordering_validated():
         Box([0.0, 1.0], [1.0, 0.5])
 
 
+def test_box_copies_its_bounds():
+    lo = np.zeros(2)
+    box = Box(lo, np.ones(2))
+    assert lo.flags.writeable
+    assert not box.lower.flags.writeable and not box.upper.flags.writeable
+
+
 def test_mahalanobis_requires_spd():
     with pytest.raises(GeometryError):
         Mahalanobis(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
