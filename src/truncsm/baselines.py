@@ -62,7 +62,8 @@ def _grad_log_z(family, theta, est: NormalizerEstimate) -> np.ndarray:
 def fit_rjmle(family, dataset, domain, n_particles: int,
               opts: Optional[FitOptions] = None,
               normalizer: Optional[NormalizerEstimate] = None) -> FitReport:
-    """Maximize mean log pbar(x_i) - log Zhat(theta) over theta."""
+    """Maximize mean log pbar(x_i) - log Zhat(theta) over theta, with a first
+    steepest-descent step of length sigma, as in `estimator.fit`."""
     opts = opts or FitOptions()
     X = _points(dataset)
     est = normalizer or make_normalizer(domain, n_particles, seed=opts.seed)
@@ -77,7 +78,8 @@ def fit_rjmle(family, dataset, domain, n_particles: int,
 
     rep = _run_restarts(
         family, X, opts,
-        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters),
+        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters,
+                                   step0=float(np.sqrt(family.sigma2))),
         n_particles=len(est.particles))
     rep.normalizer_eval_count = est.eval_count - evals_before
     return rep

@@ -181,7 +181,9 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
 
     For K = 1 the score is affine in the mean, the objective is quadratic and
     its minimizer is, per coordinate, (sum g x - sigma2 sum dg) / sum g; the
-    fit starts there and the optimizer confirms it in one evaluation.
+    fit starts there and the optimizer confirms it in one evaluation.  Every
+    restart's first steepest-descent step has length sigma = sqrt(sigma2),
+    the model's length scale.
     """
     opts = opts or FitOptions()
     X = _points(dataset)
@@ -196,7 +198,8 @@ def fit(family, dataset, domain, weight_spec: WeightSpec,
 
     return _run_restarts(
         family, X, opts,
-        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters))
+        lambda theta0: minimize_qn(fg, theta0, tol=opts.tol, max_iters=opts.max_iters,
+                                   step0=float(np.sqrt(family.sigma2))))
 
 
 def _true_score(true_score, X):
@@ -248,8 +251,15 @@ def match_centers(estimated, reference, d: int):
     first least total in `itertools.permutations` order wins; larger sets go
     to scipy's `linear_sum_assignment`.
     """
-    est = np.asarray(estimated, dtype=float).reshape(-1, d)
-    ref = np.asarray(reference, dtype=float).reshape(-1, d)
+    est = np.asarray(estimated, dtype=float)
+    ref = np.asarray(reference, dtype=float)
+    for name, c in (("estimated", est), ("reference", ref)):
+        if c.size == 0:
+            raise EstimatorError(f"the {name} center set is empty")
+        if c.size % d:
+            raise EstimatorError(f"the {name} center set has {c.size} values, "
+                                 f"not a whole number of {d}-dimensional centers")
+    est, ref = est.reshape(-1, d), ref.reshape(-1, d)
     if est.shape != ref.shape:
         raise EstimatorError("center sets must have equal shapes")
     cost = np.linalg.norm(ref[:, None, :] - est[None, :, :], axis=2)

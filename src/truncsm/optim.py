@@ -1,9 +1,13 @@
 """Deterministic quasi-Newton minimizer with Armijo backtracking.
 
 BFGS on the inverse Hessian; the first search direction is the normalized
-steepest descent step and the initial inverse Hessian is rescaled from the
-first accepted step.  Both choices make the iterate sequence invariant to a
-positive rescaling of the objective (exactly so for power-of-two factors).
+steepest descent step, tried first at length step0 (the problem's length
+scale in x), and the initial inverse Hessian is rescaled from the first
+accepted step.  These choices make the iterate sequence invariant to a
+positive rescaling of the objective, and equivariant to a positive rescaling
+of x when step0 (and tol, inversely) scales with it: minimizing f(x / s) from
+s x0 with step0 s visits s times the iterates of f from x0 with step0 1
+(exactly so for power-of-two factors).
 
 A run ends `converged` when the gradient norm reaches tol, `line_search_failure`
 when none of MAX_BACKTRACKS step lengths satisfies the Armijo condition,
@@ -36,8 +40,11 @@ class MinimizeResult:
     n_evals: int = 0
 
 
-def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500) -> MinimizeResult:
-    """Minimize f given fg(x) -> (f, grad)."""
+def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500,
+                step0: float = 1.0) -> MinimizeResult:
+    """Minimize f given fg(x) -> (f, grad); step0 is the first trial step length
+    along a normalized steepest-descent direction (the first iteration and any
+    curvature reset), while BFGS steps try alpha = 1 first."""
     x = np.asarray(x0, dtype=float).copy()
     n_evals = 0
 
@@ -65,7 +72,7 @@ def minimize_qn(fg, x0, tol: float = 1e-6, max_iters: int = 500) -> MinimizeResu
                 p = -g / gnorm
         slope = float(p @ g)
 
-        alpha = 1.0
+        alpha = step0 if H is None else 1.0
         f_new = None
         for _ in range(MAX_BACKTRACKS):
             x_try = x + alpha * p

@@ -460,6 +460,36 @@ def test_scale_invariance_thetahat(rng):
     assert np.allclose(res.x, base.x, atol=1e-9)
 
 
+def _scaled_gmm_fit(X, init, s):
+    """Fit K = 2 on s X in s times the preset polygon, with sigma = s."""
+    fam = IsotropicGMM(d=2, K=2, sigma2=s * s)
+    domain = geometry.Polygon(s * presets.DEFAULT_POLYGON_VERTICES)
+    return fit(fam, s * X, domain, EUCL,
+               FitOptions(restarts=2, init=s * init, tol=1e-6 / (s * s)))
+
+
+@pytest.fixture(scope="module")
+def gmm_polygon_sample():
+    from truncsm import data
+
+    truth = np.array([1.5, 1.5, -1.5, -1.5])
+    X = data.sample_truncated_n(IsotropicGMM(d=2, K=2), truth, presets.default_polygon(),
+                                400, seed=3).points
+    return X, np.array([[1.0, 1.0, -1.0, -1.0], [0.5, -1.5, -0.5, 2.0]])
+
+
+@pytest.mark.parametrize("s", [1 / 16, 1 / 8, 1 / 2])
+def test_fit_is_equivariant_to_a_power_of_two_rescaling(gmm_polygon_sample, s):
+    """Scaling the data, the domain, sigma and the start points by s scales
+    theta_hat by s, bit for bit, in as many evaluations per restart: the first
+    step has length sigma, so every iterate is s times the s = 1 one."""
+    X, init = gmm_polygon_sample
+    base = _scaled_gmm_fit(X, init, 1.0)
+    rep = _scaled_gmm_fit(X, init, s)
+    assert np.array_equal(rep.theta_hat / s, base.theta_hat)
+    assert [r.n_evals for r in rep.restarts] == [r.n_evals for r in base.restarts]
+
+
 # ---------------------------------------------------------------------------
 # divergences and identity check
 
@@ -618,3 +648,14 @@ def test_match_centers_falls_back_to_scipy_above_the_exact_cap(monkeypatch):
 def test_match_centers_shape_check():
     with pytest.raises(EstimatorError):
         match_centers(np.zeros(4), np.zeros(6), 2)
+
+
+@pytest.mark.parametrize("est, ref, problem", [
+    (np.zeros(0), np.zeros(0), "center set is empty"),
+    (np.zeros(4), np.zeros(0), "reference center set is empty"),
+    (np.zeros(3), np.zeros(3), "estimated center set has 3 values, not a whole number"),
+    (np.zeros(4), np.zeros(5), "reference center set has 5 values, not a whole number"),
+])
+def test_match_centers_malformed_set_is_an_error_naming_it(est, ref, problem):
+    with pytest.raises(EstimatorError, match=problem):
+        match_centers(est, ref, 2)

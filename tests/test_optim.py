@@ -18,15 +18,16 @@ def test_quadratic_converges():
     assert np.allclose(res.x, np.linalg.solve(A, b), atol=1e-6)
 
 
-def test_rosenbrock_converges():
-    def fg(z):
-        x, y = z
-        f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
-        g = np.array([-2 * (1 - x) - 400 * x * (y - x * x),
-                      200 * (y - x * x)])
-        return f, g
+def rosenbrock(z):
+    x, y = z
+    f = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+    g = np.array([-2 * (1 - x) - 400 * x * (y - x * x),
+                  200 * (y - x * x)])
+    return f, g
 
-    res = minimize_qn(fg, np.array([-1.2, 1.0]), tol=1e-8, max_iters=500)
+
+def test_rosenbrock_converges():
+    res = minimize_qn(rosenbrock, np.array([-1.2, 1.0]), tol=1e-8, max_iters=500)
     assert res.status == "converged"
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
 
@@ -77,3 +78,23 @@ def test_scale_invariance_power_of_two():
             return a * f, a * g
         res = minimize_qn(fg, np.zeros(2), tol=alpha * 1e-9)
         assert np.array_equal(res.x, base.x)
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "rosenbrock"])
+def test_joint_scale_equivariance_power_of_two(problem):
+    """Minimizing f(x / s) from s x0 with step0 = s and tol / s visits exactly
+    s times the iterates of f from x0 with step0 = 1, in as many evaluations."""
+    if problem == "quadratic":
+        fg0 = quad(np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([1.0, -1.0]))
+        x0, tol = np.array([4.0, -3.0]), 1e-9
+    else:
+        fg0, x0, tol = rosenbrock, np.array([-1.2, 1.0]), 1e-8
+    base = minimize_qn(fg0, x0, tol=tol)
+    assert base.status == "converged"
+    for s in (1 / 8, 1 / 2, 4.0):
+        def fg(x, s=s):
+            f, g = fg0(x / s)
+            return f, g / s
+        res = minimize_qn(fg, s * x0, tol=tol / s, step0=s)
+        assert np.array_equal(res.x, s * base.x)
+        assert res.n_evals == base.n_evals and res.status == base.status

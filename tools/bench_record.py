@@ -1,12 +1,13 @@
 """Record one benchmark snapshot as a JSON file.
 
     python3 tools/bench_record.py --out BENCH_27.json
-    python3 tools/bench_record.py --root ../other-checkout --out other.json
+    python3 tools/bench_record.py --root ../other-checkout --seed 3 --out other.json
 
 Runs `perfbench/run.py` of the checkout at --root (default: this one) on every
-workload of its BENCHMARK.json, at its run_seconds and seed 0, once with
---trace 0 (end-to-end metrics) and once with --trace 1 (per-layer metrics),
-one run at a time, and writes:
+workload of its BENCHMARK.json, at its run_seconds and at --seed (default 0),
+once with --trace 0 (end-to-end metrics) and once with --trace 1 (per-layer
+metrics), one run at a time, and writes:
+- "seconds" and "seed": the run length and the benchmark seed of every run;
 - "environment": nproc and the Python, numpy, scipy and BLAS versions;
 - "workloads": per workload, the "untraced" and the "traced" run, each with
   its exit code, its correct, attempted and failed counts, the ids of the
@@ -38,6 +39,7 @@ def parse_args(argv):
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
                    help="checkout whose perfbench/run.py and src/ are measured")
+    p.add_argument("--seed", type=int, default=0, help="benchmark seed of every run")
     return p.parse_args(argv)
 
 
@@ -53,8 +55,8 @@ def environment():
             "numpy": numpy.__version__, "scipy": scipy.__version__, "blas": blas}
 
 
-def run_once(root, workload, seconds, trace):
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+def run_once(root, workload, seconds, trace, seed):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     t0 = time.perf_counter()
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -81,12 +83,12 @@ def main(argv=None):
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
         for trace, name in ((0, "untraced"), (1, "traced")):
-            r = run_once(root, workload, seconds, trace)
+            r = run_once(root, workload, seconds, trace, args.seed)
             print(f"{workload} {name}: exit {r['exit_code']}, "
                   f"{r['failed']} of {r['attempted']} operations failed, "
                   f"process {r['process_wall_s']:.2f} s", file=sys.stderr)
             workloads.setdefault(workload, {})[name] = r
-    record = {"environment": environment(), "seconds": seconds, "seed": 0,
+    record = {"environment": environment(), "seconds": seconds, "seed": args.seed,
               "workloads": workloads}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     runs = [r for w in workloads.values() for r in w.values()]
